@@ -268,4 +268,12 @@ EOF
 wait "$obs_pid"
 obs_pid=""
 
+echo "== simulator benchmark (bench/check.sh) =="
+# The standalone hulkv-perf package (bench/, own workspace and lock file)
+# builds against this tree's crates: release build, its unit tests,
+# clippy -D warnings and rustfmt, a one-pass smoke of all four workloads
+# end to end and traced, and a check that the metric names and units it
+# emits are exactly those BENCHMARK.json declares.
+bench/check.sh
+
 echo "CI OK"

@@ -351,6 +351,7 @@ struct HostBus<'a> {
 }
 
 impl HostBus<'_> {
+    #[inline(always)]
     fn cacheable(&self, addr: u64) -> bool {
         self.caches_enabled && addr >= self.cacheable_start
     }
@@ -368,7 +369,9 @@ impl CoreBus for HostBus<'_> {
         Ok((u32::from_le_bytes(b), lat.saturating_sub(Cycles::new(1))))
     }
 
-    #[inline]
+    // Always inlined: it runs on every replayed instruction, and
+    // `Cache::probe_fetch` is a short tag scan of one set.
+    #[inline(always)]
     fn fetch_touch(&mut self, addr: u64) -> bool {
         // Only cacheable code can replay: an uncached (device-region) fetch
         // always pays the bridge latency, so it is never installed anyway.

@@ -1,5 +1,6 @@
 //! An address-routed interconnect modeling the host AXI4 crossbar.
 
+use crate::device::Traffic;
 use crate::{MemoryDevice, SharedMem};
 use hulkv_sim::{Cycles, SimError, Stats};
 
@@ -46,6 +47,7 @@ pub struct Bus {
     regions: Vec<Region>,
     latency: Cycles,
     stats: Stats,
+    traffic: Traffic,
 }
 
 impl Bus {
@@ -55,6 +57,7 @@ impl Bus {
             regions: Vec::new(),
             latency,
             stats: Stats::new(name),
+            traffic: Traffic::default(),
         }
     }
 
@@ -154,8 +157,7 @@ impl MemoryDevice for Bus {
         let (region, local) = self.route(offset, buf.len())?;
         let device = region.device.clone();
         let lat = device.borrow_mut().read(local, buf)?;
-        self.stats.inc("reads");
-        self.stats.add("bytes_read", buf.len() as u64);
+        self.traffic.read(&mut self.stats, buf.len());
         Ok(lat + self.latency)
     }
 
@@ -163,8 +165,7 @@ impl MemoryDevice for Bus {
         let (region, local) = self.route(offset, data.len())?;
         let device = region.device.clone();
         let lat = device.borrow_mut().write(local, data)?;
-        self.stats.inc("writes");
-        self.stats.add("bytes_written", data.len() as u64);
+        self.traffic.write(&mut self.stats, data.len());
         Ok(lat + self.latency)
     }
 

@@ -80,14 +80,10 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Line {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
-    lru: u64,
-    data: Vec<u8>,
-}
+/// `flags` bit: the way holds a line.
+const VALID: u8 = 1;
+/// `flags` bit: the line differs from the backing store (write-back only).
+const DIRTY: u8 = 2;
 
 /// A set-associative cache with true data storage, LRU replacement and
 /// configurable write policy, in front of a shared backing device.
@@ -126,7 +122,21 @@ struct Line {
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    lines: Vec<Line>,
+    /// Line state as struct-of-arrays, indexed by way `idx = set * ways +
+    /// way`. A set's tags are contiguous, so a lookup scans one short run
+    /// of `u64`s.
+    tags: Vec<u64>,
+    /// `VALID` / `DIRTY` bits per way.
+    flags: Vec<u8>,
+    /// Per-way LRU stamp: the `tick` of the way's last touch.
+    lru: Vec<u64>,
+    /// Every line's bytes in one buffer: way `idx` owns
+    /// `data[idx * line_bytes..][..line_bytes]`.
+    data: Vec<u8>,
+    /// Refill staging line: the backing read lands here and is installed
+    /// only once it succeeded, so a failed refill leaves the victim way's
+    /// flags, tag, LRU stamp and bytes exactly as they were.
+    fill: Vec<u8>,
     backing: SharedMem,
     stats: Stats,
     tick: u64,
@@ -143,6 +153,13 @@ pub struct Cache {
     h_misses: StatsHandle,
     h_bytes_read: StatsHandle,
     h_bytes_written: StatsHandle,
+    /// Counters that only some caches ever bump (an L1 never writes back,
+    /// an LLC never writes through), registered on first use so they stay
+    /// absent until then.
+    h_refills: Option<StatsHandle>,
+    h_writebacks: Option<StatsHandle>,
+    h_writethroughs: Option<StatsHandle>,
+    h_write_misses_direct: Option<StatsHandle>,
     tracer: Option<SharedTracer>,
     track: Track,
 }
@@ -155,16 +172,7 @@ impl Cache {
     /// Returns [`SimError::InvalidConfig`] for degenerate geometries.
     pub fn new(cfg: CacheConfig, backing: SharedMem) -> Result<Self, SimError> {
         cfg.validate()?;
-        let lines = vec![
-            Line {
-                valid: false,
-                dirty: false,
-                tag: 0,
-                lru: 0,
-                data: vec![0; cfg.line_bytes],
-            };
-            cfg.ways * cfg.sets
-        ];
+        let n = cfg.ways * cfg.sets;
         let mut stats = Stats::new(cfg.name.clone());
         let h_hits = stats.handle("hits");
         let h_misses = stats.handle("misses");
@@ -173,8 +181,12 @@ impl Cache {
         let line_shift = cfg.line_bytes.trailing_zeros();
         let set_shift = cfg.sets.trailing_zeros();
         Ok(Cache {
+            tags: vec![0; n],
+            flags: vec![0; n],
+            lru: vec![0; n],
+            data: vec![0; n * cfg.line_bytes],
+            fill: vec![0; cfg.line_bytes],
             cfg,
-            lines,
             backing,
             stats,
             tick: 0,
@@ -185,6 +197,10 @@ impl Cache {
             h_misses,
             h_bytes_read,
             h_bytes_written,
+            h_refills: None,
+            h_writebacks: None,
+            h_writethroughs: None,
+            h_write_misses_direct: None,
             tracer: None,
             track: Track::Llc,
         })
@@ -224,20 +240,15 @@ impl Cache {
     /// effects and returns `false`, and the caller must issue the real
     /// [`MemoryDevice::read`]. This keeps statistics, traces and LRU state
     /// bit-identical to the slow path for replayed zero-latency fetches.
-    #[inline]
+    #[inline(always)]
     pub fn probe_fetch(&mut self, addr: u64, len: usize) -> bool {
-        let in_line = (addr & (self.cfg.line_bytes as u64 - 1)) as usize;
-        if in_line + len > self.cfg.line_bytes {
+        if self.offset_in_line(addr) + len > self.cfg.line_bytes {
             return false; // straddles a line boundary: take the slow path
         }
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let Some(idx) = self.lookup(set, tag) else {
+        let Some(idx) = self.lookup(self.set_of(addr), self.tag_of(addr)) else {
             return false;
         };
-        self.stats.bump(self.h_hits, 1);
-        self.trace(TraceEvent::CacheHit { addr, write: false });
-        self.touch(idx);
+        self.hit(idx, addr, false);
         self.stats.bump(self.h_bytes_read, len as u64);
         true
     }
@@ -255,18 +266,16 @@ impl Cache {
     pub fn flush(&mut self) -> Result<Cycles, SimError> {
         self.epoch += 1;
         let mut total = Cycles::ZERO;
-        let (sets, line_bytes) = (self.cfg.sets, self.cfg.line_bytes);
-        for idx in 0..self.lines.len() {
-            if self.lines[idx].valid && self.lines[idx].dirty {
-                let set = idx / self.cfg.ways;
-                let addr = (self.lines[idx].tag * sets as u64 + set as u64) * line_bytes as u64;
-                let data = self.lines[idx].data.clone();
-                total += self.backing.borrow_mut().write(addr, &data)?;
-                self.stats.inc("writebacks");
+        for idx in 0..self.flags.len() {
+            if self.flags[idx] == VALID | DIRTY {
+                let addr = self.line_base(self.tags[idx], idx / self.cfg.ways);
+                let line = &self.data[self.line_range(idx)];
+                total += self.backing.borrow_mut().write(addr, line)?;
+                self.stats
+                    .add_cached(&mut self.h_writebacks, "writebacks", 1);
                 self.trace(TraceEvent::CacheEvict { addr, dirty: true });
             }
-            self.lines[idx].valid = false;
-            self.lines[idx].dirty = false;
+            self.flags[idx] = 0;
         }
         Ok(total)
     }
@@ -277,11 +286,11 @@ impl Cache {
     /// complement of `Core::state_digest`.
     pub fn state_digest(&self) -> u64 {
         let mut h = hulkv_sim::Fnv64::new();
-        for l in &self.lines {
-            h.write_u64(u64::from(l.valid) | u64::from(l.dirty) << 1)
-                .write_u64(l.tag)
-                .write_u64(l.lru)
-                .write(&l.data);
+        for idx in 0..self.flags.len() {
+            h.write_u64(u64::from(self.flags[idx]))
+                .write_u64(self.tags[idx])
+                .write_u64(self.lru[idx])
+                .write(&self.data[self.line_range(idx)]);
         }
         h.write_u64(self.tick).write_u64(self.epoch);
         h.finish()
@@ -293,12 +302,12 @@ impl Cache {
     /// to the simulated run.
     pub fn snapshot_into(&self, snap: &mut hulkv_sim::Snapshot) -> hulkv_sim::Json {
         use hulkv_sim::snap::{hex, stats_to_json};
-        let mut packed = Vec::with_capacity(self.lines.len() * (17 + self.cfg.line_bytes));
-        for l in &self.lines {
-            packed.push(u8::from(l.valid) | u8::from(l.dirty) << 1);
-            packed.extend_from_slice(&l.tag.to_le_bytes());
-            packed.extend_from_slice(&l.lru.to_le_bytes());
-            packed.extend_from_slice(&l.data);
+        let mut packed = Vec::with_capacity(self.flags.len() * (17 + self.cfg.line_bytes));
+        for idx in 0..self.flags.len() {
+            packed.push(self.flags[idx]);
+            packed.extend_from_slice(&self.tags[idx].to_le_bytes());
+            packed.extend_from_slice(&self.lru[idx].to_le_bytes());
+            packed.extend_from_slice(&self.data[self.line_range(idx)]);
         }
         let lines = snap.push_blob(&packed);
         hulkv_sim::Json::obj([
@@ -317,7 +326,9 @@ impl Cache {
     ///
     /// # Errors
     ///
-    /// On geometry mismatch or a malformed section.
+    /// On geometry mismatch, a malformed section, or a valid line that
+    /// does not lie inside the backing store — no refill could have
+    /// produced one, and hits skip the range check on the strength of it.
     pub fn restore_from(
         &mut self,
         snap: &hulkv_sim::Snapshot,
@@ -338,20 +349,34 @@ impl Cache {
         }
         let packed = snap.blob(get(j, "lines")?)?;
         let rec = 17 + lb;
-        if packed.len() != self.lines.len() * rec {
+        if packed.len() != self.flags.len() * rec {
             return Err(SnapError::msg(format!(
                 "cache {}: line blob is {} bytes, expected {}",
                 self.cfg.name,
                 packed.len(),
-                self.lines.len() * rec
+                self.flags.len() * rec
             )));
         }
-        for (l, r) in self.lines.iter_mut().zip(packed.chunks_exact(rec)) {
-            l.valid = r[0] & 1 != 0;
-            l.dirty = r[0] & 2 != 0;
-            l.tag = u64::from_le_bytes(r[1..9].try_into().expect("8 bytes"));
-            l.lru = u64::from_le_bytes(r[9..17].try_into().expect("8 bytes"));
-            l.data.copy_from_slice(&r[17..]);
+        let tag_at = |r: &[u8]| u64::from_le_bytes(r[1..9].try_into().expect("8 bytes"));
+        let size = self.backing.borrow().size_bytes();
+        let tag_span = (sets * lb) as u64;
+        for (idx, r) in packed.chunks_exact(rec).enumerate() {
+            let end = tag_at(r)
+                .checked_mul(tag_span)
+                .and_then(|base| base.checked_add(((idx / ways + 1) * lb) as u64));
+            if r[0] & VALID != 0 && end.is_none_or(|end| end > size) {
+                return Err(SnapError::msg(format!(
+                    "cache {}: valid line {idx} lies outside the {size}-byte backing store",
+                    self.cfg.name
+                )));
+            }
+        }
+        for (idx, r) in packed.chunks_exact(rec).enumerate() {
+            self.flags[idx] = r[0] & (VALID | DIRTY);
+            self.tags[idx] = tag_at(r);
+            self.lru[idx] = u64::from_le_bytes(r[9..17].try_into().expect("8 bytes"));
+            let range = self.line_range(idx);
+            self.data[range].copy_from_slice(&r[17..]);
         }
         self.tick = get_u64(j, "tick")?;
         self.epoch = get_u64(j, "epoch")?;
@@ -370,19 +395,23 @@ impl Cache {
         let mut pos = 0usize;
         while pos < buf.len() {
             let a = addr + pos as u64;
-            let in_line = (a & (self.cfg.line_bytes as u64 - 1)) as usize;
+            let in_line = self.offset_in_line(a);
             let n = (self.cfg.line_bytes - in_line).min(buf.len() - pos);
-            let set = self.set_of(a);
-            let tag = self.tag_of(a);
-            match self.lookup(set, tag) {
+            match self.lookup(self.set_of(a), self.tag_of(a)) {
                 Some(idx) => {
-                    buf[pos..pos + n].copy_from_slice(&self.lines[idx].data[in_line..in_line + n])
+                    let at = idx * self.cfg.line_bytes + in_line;
+                    buf[pos..pos + n].copy_from_slice(&self.data[at..at + n]);
                 }
                 None => self.backing.borrow().peek(a, &mut buf[pos..pos + n])?,
             }
             pos += n;
         }
         Ok(())
+    }
+
+    #[inline]
+    fn offset_in_line(&self, addr: u64) -> usize {
+        (addr & (self.cfg.line_bytes as u64 - 1)) as usize
     }
 
     #[inline]
@@ -399,33 +428,69 @@ impl Cache {
         ((tag << self.set_shift) + set as u64) << self.line_shift
     }
 
+    /// The bytes of way `idx` within `data`.
+    #[inline]
+    fn line_range(&self, idx: usize) -> std::ops::Range<usize> {
+        idx * self.cfg.line_bytes..(idx + 1) * self.cfg.line_bytes
+    }
+
     /// Finds the way holding `(tag, set)`, if present.
     #[inline]
     fn lookup(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set * self.cfg.ways;
-        self.lines[base..base + self.cfg.ways]
+        let ways = base..base + self.cfg.ways;
+        self.tags[ways.clone()]
             .iter()
-            .position(|l| l.valid && l.tag == tag)
+            .zip(&self.flags[ways])
+            .position(|(&t, &f)| t == tag && f & VALID != 0)
             .map(|w| base + w)
+    }
+
+    /// The way holding the whole of a non-empty `len`-byte access at
+    /// `addr`, when it lies inside one resident line. Side-effect free;
+    /// `None` for empty, line-straddling and non-resident accesses.
+    ///
+    /// Such an access is always in range: its line was installed by a
+    /// successful whole-line backing read (or restored from a snapshot
+    /// that [`Cache::restore_from`] checked), and backing stores never
+    /// shrink. The hit paths therefore skip [`check_range`], whose
+    /// `size_bytes` call walks the whole backing chain.
+    #[inline]
+    fn resident(&self, addr: u64, len: usize) -> Option<usize> {
+        if len == 0 || self.offset_in_line(addr) + len > self.cfg.line_bytes {
+            return None;
+        }
+        self.lookup(self.set_of(addr), self.tag_of(addr))
     }
 
     /// Picks a victim way in `set`: an invalid way if any, else the LRU one.
     fn victim(&self, set: usize) -> usize {
         let base = set * self.cfg.ways;
-        for w in 0..self.cfg.ways {
-            if !self.lines[base + w].valid {
-                return base + w;
-            }
+        if let Some(w) = self.flags[base..base + self.cfg.ways]
+            .iter()
+            .position(|&f| f & VALID == 0)
+        {
+            return base + w;
         }
         (0..self.cfg.ways)
-            .min_by_key(|&w| self.lines[base + w].lru)
+            .min_by_key(|&w| self.lru[base + w])
             .map(|w| base + w)
             .expect("cache has at least one way")
     }
 
+    #[inline]
     fn touch(&mut self, idx: usize) {
         self.tick += 1;
-        self.lines[idx].lru = self.tick;
+        self.lru[idx] = self.tick;
+    }
+
+    /// The read-hit side effects on way `idx`, in the order every hit path
+    /// performs them: `hits`, the hit trace event, the LRU touch.
+    #[inline]
+    fn hit(&mut self, idx: usize, addr: u64, write: bool) {
+        self.stats.bump(self.h_hits, 1);
+        self.trace(TraceEvent::CacheHit { addr, write });
+        self.touch(idx);
     }
 
     /// Ensures the line containing `addr` is resident; returns
@@ -434,12 +499,7 @@ impl Cache {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
         if let Some(idx) = self.lookup(set, tag) {
-            self.stats.bump(self.h_hits, 1);
-            self.trace(TraceEvent::CacheHit {
-                addr,
-                write: is_write,
-            });
-            self.touch(idx);
+            self.hit(idx, addr, is_write);
             return Ok((idx, Cycles::ZERO));
         }
         self.stats.bump(self.h_misses, 1);
@@ -449,53 +509,67 @@ impl Cache {
         });
         let mut lat = Cycles::ZERO;
         let idx = self.victim(set);
-        if self.lines[idx].valid && self.lines[idx].dirty {
-            let victim_addr = self.line_base(self.lines[idx].tag, set);
-            let data = self.lines[idx].data.clone();
-            lat += self.backing.borrow_mut().write(victim_addr, &data)?;
-            self.stats.inc("writebacks");
+        if self.flags[idx] == VALID | DIRTY {
+            let victim_addr = self.line_base(self.tags[idx], set);
+            let line = &self.data[self.line_range(idx)];
+            lat += self.backing.borrow_mut().write(victim_addr, line)?;
+            self.stats
+                .add_cached(&mut self.h_writebacks, "writebacks", 1);
             self.trace(TraceEvent::CacheEvict {
                 addr: victim_addr,
                 dirty: true,
             });
         }
         let line_addr = self.line_base(tag, set);
-        let mut data = std::mem::take(&mut self.lines[idx].data);
-        lat += self.backing.borrow_mut().read(line_addr, &mut data)?;
-        self.stats.inc("refills");
+        lat += self.backing.borrow_mut().read(line_addr, &mut self.fill)?;
+        let range = self.line_range(idx);
+        self.data[range].copy_from_slice(&self.fill);
+        self.stats.add_cached(&mut self.h_refills, "refills", 1);
         self.epoch += 1;
-        self.lines[idx] = Line {
-            valid: true,
-            dirty: false,
-            tag,
-            lru: 0,
-            data,
-        };
+        self.flags[idx] = VALID;
+        self.tags[idx] = tag;
         self.touch(idx);
         Ok((idx, lat))
     }
-}
 
-impl MemoryDevice for Cache {
-    fn size_bytes(&self) -> u64 {
-        self.backing.borrow().size_bytes()
+    /// Stores `chunk`, which lies inside one line, into resident way `idx`
+    /// and applies the write policy; returns the backing latency the
+    /// store is charged.
+    fn write_into(&mut self, idx: usize, addr: u64, chunk: &[u8]) -> Result<Cycles, SimError> {
+        let at = idx * self.cfg.line_bytes + self.offset_in_line(addr);
+        self.data[at..at + chunk.len()].copy_from_slice(chunk);
+        match self.cfg.write_policy {
+            WritePolicy::WriteBack => {
+                self.flags[idx] |= DIRTY;
+                Ok(Cycles::ZERO)
+            }
+            WritePolicy::WriteThrough => {
+                let lat = self.backing.borrow_mut().write(addr, chunk)?;
+                self.stats
+                    .add_cached(&mut self.h_writethroughs, "writethroughs", 1);
+                Ok(if self.cfg.write_buffer {
+                    Cycles::ZERO
+                } else {
+                    lat
+                })
+            }
+        }
     }
 
-    fn peek(&self, offset: u64, buf: &mut [u8]) -> Result<(), SimError> {
-        check_range(offset, buf.len(), self.size_bytes())?;
-        Cache::peek(self, offset, buf)
-    }
-
-    fn read(&mut self, offset: u64, buf: &mut [u8]) -> Result<Cycles, SimError> {
+    /// [`MemoryDevice::read`] for everything but a single-line hit: range
+    /// check, then line by line with refills.
+    #[inline(never)]
+    fn read_lines(&mut self, offset: u64, buf: &mut [u8]) -> Result<Cycles, SimError> {
         check_range(offset, buf.len(), self.size_bytes())?;
         let mut total = Cycles::ZERO;
         let mut pos = 0usize;
         while pos < buf.len() {
             let addr = offset + pos as u64;
-            let in_line = (addr & (self.cfg.line_bytes as u64 - 1)) as usize;
+            let in_line = self.offset_in_line(addr);
             let n = (self.cfg.line_bytes - in_line).min(buf.len() - pos);
             let (idx, fill) = self.ensure_line(addr, false)?;
-            buf[pos..pos + n].copy_from_slice(&self.lines[idx].data[in_line..in_line + n]);
+            let at = idx * self.cfg.line_bytes + in_line;
+            buf[pos..pos + n].copy_from_slice(&self.data[at..at + n]);
             total += self.cfg.hit_latency + fill;
             pos += n;
         }
@@ -503,23 +577,21 @@ impl MemoryDevice for Cache {
         Ok(total)
     }
 
-    fn write(&mut self, offset: u64, data: &[u8]) -> Result<Cycles, SimError> {
+    /// [`MemoryDevice::write`] for everything but a single-line hit: range
+    /// check, then line by line with write-allocate or write-around misses.
+    #[inline(never)]
+    fn write_lines(&mut self, offset: u64, data: &[u8]) -> Result<Cycles, SimError> {
         check_range(offset, data.len(), self.size_bytes())?;
         let mut total = Cycles::ZERO;
         let mut pos = 0usize;
         while pos < data.len() {
             let addr = offset + pos as u64;
-            let set = self.set_of(addr);
-            let tag = self.tag_of(addr);
-            let in_line = (addr & (self.cfg.line_bytes as u64 - 1)) as usize;
-            let n = (self.cfg.line_bytes - in_line).min(data.len() - pos);
+            let n = (self.cfg.line_bytes - self.offset_in_line(addr)).min(data.len() - pos);
             let chunk = &data[pos..pos + n];
 
-            let idx = match self.lookup(set, tag) {
+            let idx = match self.lookup(self.set_of(addr), self.tag_of(addr)) {
                 Some(idx) => {
-                    self.stats.bump(self.h_hits, 1);
-                    self.trace(TraceEvent::CacheHit { addr, write: true });
-                    self.touch(idx);
+                    self.hit(idx, addr, true);
                     Some(idx)
                 }
                 // ensure_line re-runs the (missing) lookup and counts the miss.
@@ -536,30 +608,57 @@ impl MemoryDevice for Cache {
             };
 
             if let Some(idx) = idx {
-                self.lines[idx].data[in_line..in_line + n].copy_from_slice(chunk);
-                match self.cfg.write_policy {
-                    WritePolicy::WriteBack => self.lines[idx].dirty = true,
-                    WritePolicy::WriteThrough => {
-                        let lat = self.backing.borrow_mut().write(addr, chunk)?;
-                        if !self.cfg.write_buffer {
-                            total += lat;
-                        }
-                        self.stats.inc("writethroughs");
-                    }
-                }
+                total += self.write_into(idx, addr, chunk)?;
             } else {
                 // Non-allocating write miss: straight to backing.
                 let lat = self.backing.borrow_mut().write(addr, chunk)?;
                 if !self.cfg.write_buffer {
                     total += lat;
                 }
-                self.stats.inc("write_misses_direct");
+                self.stats
+                    .add_cached(&mut self.h_write_misses_direct, "write_misses_direct", 1);
             }
             total += self.cfg.hit_latency;
             pos += n;
         }
         self.stats.bump(self.h_bytes_written, data.len() as u64);
         Ok(total)
+    }
+}
+
+impl MemoryDevice for Cache {
+    fn size_bytes(&self) -> u64 {
+        self.backing.borrow().size_bytes()
+    }
+
+    fn peek(&self, offset: u64, buf: &mut [u8]) -> Result<(), SimError> {
+        check_range(offset, buf.len(), self.size_bytes())?;
+        Cache::peek(self, offset, buf)
+    }
+
+    #[inline(always)]
+    fn read(&mut self, offset: u64, buf: &mut [u8]) -> Result<Cycles, SimError> {
+        // Single-line hit: no range check (see `Cache::resident`).
+        if let Some(idx) = self.resident(offset, buf.len()) {
+            self.hit(idx, offset, false);
+            let at = idx * self.cfg.line_bytes + self.offset_in_line(offset);
+            buf.copy_from_slice(&self.data[at..at + buf.len()]);
+            self.stats.bump(self.h_bytes_read, buf.len() as u64);
+            return Ok(self.cfg.hit_latency);
+        }
+        self.read_lines(offset, buf)
+    }
+
+    #[inline(always)]
+    fn write(&mut self, offset: u64, data: &[u8]) -> Result<Cycles, SimError> {
+        // Single-line hit: no range check (see `Cache::resident`).
+        if let Some(idx) = self.resident(offset, data.len()) {
+            self.hit(idx, offset, true);
+            let lat = self.write_into(idx, offset, data)?;
+            self.stats.bump(self.h_bytes_written, data.len() as u64);
+            return Ok(lat + self.cfg.hit_latency);
+        }
+        self.write_lines(offset, data)
     }
 
     fn stats(&self) -> &Stats {
@@ -745,6 +844,163 @@ mod tests {
         assert_eq!(c.epoch(), e1);
         c.flush().unwrap();
         assert!(c.epoch() > e1);
+    }
+
+    /// Everything a refused or empty access must leave alone: counters, and
+    /// (through the digest) flags, tags, LRU stamps, bytes, tick and epoch.
+    fn observable(c: &Cache) -> (Stats, u64) {
+        (c.stats().clone(), c.state_digest())
+    }
+
+    #[test]
+    fn zero_length_accesses_touch_nothing() {
+        for policy in [WritePolicy::WriteBack, WritePolicy::WriteThrough] {
+            let (mut c, _) = test_cache(policy, policy == WritePolicy::WriteBack, false);
+            let mut b = [0u8; 4];
+            c.read(0x20, &mut b).unwrap(); // resident
+            let before = observable(&c);
+            for addr in [0x20, 0x24, 0x100, 8192] {
+                assert_eq!(c.read(addr, &mut []).unwrap(), Cycles::ZERO);
+                assert_eq!(c.write(addr, &[]).unwrap(), Cycles::ZERO);
+            }
+            assert_eq!(observable(&c), before);
+            // Past the end, even an empty access is out of range.
+            assert!(matches!(
+                c.read(8193, &mut []),
+                Err(SimError::OutOfRange { .. })
+            ));
+            assert!(matches!(
+                c.write(8193, &[]),
+                Err(SimError::OutOfRange { .. })
+            ));
+            assert_eq!(observable(&c), before);
+        }
+    }
+
+    #[test]
+    fn access_past_backing_end_fails_before_side_effects() {
+        let (mut c, backing) = test_cache(WritePolicy::WriteBack, true, false);
+        let mut b = [0u8; 4];
+        c.read(8180, &mut b).unwrap(); // the last line is resident
+        let backing_before = backing.borrow().stats().clone();
+        let before = observable(&c);
+        let mut wide = [0u8; 8];
+        assert!(matches!(
+            c.read(8188, &mut wide),
+            Err(SimError::OutOfRange { .. })
+        ));
+        assert!(matches!(
+            c.write(8188, &[1; 8]),
+            Err(SimError::OutOfRange { .. })
+        ));
+        assert!(matches!(
+            c.read(8192, &mut b),
+            Err(SimError::OutOfRange { .. })
+        ));
+        assert_eq!(observable(&c), before);
+        assert_eq!(*backing.borrow().stats(), backing_before);
+    }
+
+    #[test]
+    fn failed_refill_leaves_victim_intact() {
+        use crate::Bus;
+        for (policy, allocate) in [
+            (WritePolicy::WriteBack, true),
+            (WritePolicy::WriteThrough, false),
+        ] {
+            // Direct-mapped, 4 sets of 16 bytes: 0x00 and 0x100 share set 0,
+            // and 0x100..0x200 is a hole in the bus map.
+            let mut bus = Bus::new("axi", Cycles::new(1));
+            for base in [0x000, 0x200] {
+                bus.map(
+                    format!("ram{base:x}"),
+                    base,
+                    shared(Sram::new("ram", 0x100, Cycles::new(5))),
+                )
+                .unwrap();
+            }
+            let cfg = CacheConfig {
+                name: "c".into(),
+                ways: 1,
+                sets: 4,
+                line_bytes: 16,
+                hit_latency: Cycles::new(1),
+                write_policy: policy,
+                write_allocate: allocate,
+                write_buffer: false,
+            };
+            let mut c = Cache::new(cfg, shared(bus)).unwrap();
+            let mut line = [0u8; 16];
+            c.read(0, &mut line).unwrap(); // victim-to-be
+            c.write(0, &[0xC3; 16]).unwrap(); // dirty under write-back
+            let digest = c.state_digest();
+            let epoch = c.epoch();
+            let mut b = [0u8; 4];
+            assert!(matches!(
+                c.read(0x100, &mut b),
+                Err(SimError::UnmappedAddress { addr: 0x100 })
+            ));
+            assert_eq!(c.state_digest(), digest, "{policy:?}: victim changed");
+            assert_eq!(c.epoch(), epoch);
+            let hits = c.stats().get("hits");
+            c.read(0, &mut line).unwrap();
+            assert_eq!(line, [0xC3; 16]);
+            assert_eq!(c.stats().get("hits"), hits + 1, "victim still resident");
+            // The way refills normally afterwards.
+            c.read(0x200, &mut b).unwrap();
+            c.read(0x204, &mut b).unwrap();
+            assert_eq!(c.stats().get("refills"), 2);
+        }
+    }
+
+    #[test]
+    fn untouched_counters_stay_absent() {
+        // An L1-style write-through cache that only ever hits never
+        // registers `refills`, `writebacks` or `write_misses_direct`.
+        let (mut c, _) = test_cache(WritePolicy::WriteThrough, false, true);
+        let keys = |c: &Cache| {
+            c.stats()
+                .iter()
+                .map(|(k, _)| k.to_owned())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(keys(&c), ["bytes_read", "bytes_written", "hits", "misses"]);
+        let mut b = [0u8; 4];
+        c.read(0, &mut b).unwrap();
+        c.write(0, &b).unwrap();
+        assert_eq!(
+            keys(&c),
+            [
+                "bytes_read",
+                "bytes_written",
+                "hits",
+                "misses",
+                "refills",
+                "writethroughs"
+            ]
+        );
+    }
+
+    #[test]
+    fn restore_rejects_lines_outside_the_backing_store() {
+        let (mut c, _) = test_cache(WritePolicy::WriteBack, true, false);
+        let mut b = [0u8; 4];
+        c.read(0x20, &mut b).unwrap();
+        let mut snap = hulkv_sim::Snapshot::new();
+        let j = c.snapshot_into(&mut snap);
+        // The same state over an 8-byte-shorter backing store: its last
+        // line is gone, but 0x20 is still in range.
+        let small = shared(Sram::new("dram", 8192 - 8, Cycles::new(50)));
+        let mut shrunk = Cache::new(c.config().clone(), small.clone()).unwrap();
+        shrunk.restore_from(&snap, &j).unwrap();
+        // A resident line at the very end of the original store.
+        c.read(8176, &mut b).unwrap();
+        let mut snap = hulkv_sim::Snapshot::new();
+        let j = c.snapshot_into(&mut snap);
+        let mut shrunk = Cache::new(c.config().clone(), small).unwrap();
+        let before = shrunk.state_digest();
+        assert!(shrunk.restore_from(&snap, &j).is_err());
+        assert_eq!(shrunk.state_digest(), before, "rejected restore is atomic");
     }
 
     #[test]

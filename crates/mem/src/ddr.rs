@@ -1,8 +1,8 @@
 //! The DDR4/LPDDR4 comparison memory.
 
-use crate::device::check_range;
+use crate::device::{check_range, Traffic};
 use crate::{MemoryDevice, SparseStorage};
-use hulkv_sim::{Cycles, SharedTracer, SimError, Stats, TraceEvent, Track};
+use hulkv_sim::{Cycles, SharedTracer, SimError, Stats, StatsHandle, TraceEvent, Track};
 
 /// Configuration of the DDR4/LPDDR4 model.
 ///
@@ -63,6 +63,8 @@ pub struct Ddr {
     cfg: DdrConfig,
     storage: SparseStorage,
     stats: Stats,
+    traffic: Traffic,
+    h_busy_cycles: Option<StatsHandle>,
     tracer: Option<SharedTracer>,
 }
 
@@ -81,6 +83,8 @@ impl Ddr {
             storage: SparseStorage::new(cfg.size_bytes),
             cfg,
             stats: Stats::new("ddr"),
+            traffic: Traffic::default(),
+            h_busy_cycles: None,
             tracer: None,
         }
     }
@@ -157,10 +161,10 @@ impl MemoryDevice for Ddr {
     fn read(&mut self, offset: u64, buf: &mut [u8]) -> Result<Cycles, SimError> {
         check_range(offset, buf.len(), self.size_bytes())?;
         self.storage.read(offset, buf);
-        self.stats.inc("reads");
-        self.stats.add("bytes_read", buf.len() as u64);
+        self.traffic.read(&mut self.stats, buf.len());
         let lat = self.latency(buf.len());
-        self.stats.add("busy_cycles", lat.get());
+        self.stats
+            .add_cached(&mut self.h_busy_cycles, "busy_cycles", lat.get());
         self.trace_burst(offset, buf.len(), false, lat);
         Ok(lat)
     }
@@ -168,10 +172,10 @@ impl MemoryDevice for Ddr {
     fn write(&mut self, offset: u64, data: &[u8]) -> Result<Cycles, SimError> {
         check_range(offset, data.len(), self.size_bytes())?;
         self.storage.write(offset, data);
-        self.stats.inc("writes");
-        self.stats.add("bytes_written", data.len() as u64);
+        self.traffic.write(&mut self.stats, data.len());
         let lat = self.latency(data.len());
-        self.stats.add("busy_cycles", lat.get());
+        self.stats
+            .add_cached(&mut self.h_busy_cycles, "busy_cycles", lat.get());
         self.trace_burst(offset, data.len(), true, lat);
         Ok(lat)
     }

@@ -1,6 +1,6 @@
 //! The common memory-device trait.
 
-use hulkv_sim::{Cycles, SharedTracer, SimError, Stats};
+use hulkv_sim::{Cycles, SharedTracer, SimError, Stats, StatsHandle};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -126,6 +126,34 @@ pub trait MemoryDevice: std::fmt::Debug {
         Err(SimError::Model(
             "device has no side-effect-free peek".into(),
         ))
+    }
+}
+
+/// The `reads`/`bytes_read`/`writes`/`bytes_written` counters the bus and
+/// every storage device keep, bumped through handles registered on first
+/// use ([`Stats::add_cached`]): no per-access key search, and a device
+/// that was never read or written shows no zero-valued keys.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Traffic {
+    reads: Option<StatsHandle>,
+    bytes_read: Option<StatsHandle>,
+    writes: Option<StatsHandle>,
+    bytes_written: Option<StatsHandle>,
+}
+
+impl Traffic {
+    /// Counts one read of `bytes` bytes.
+    #[inline]
+    pub(crate) fn read(&mut self, stats: &mut Stats, bytes: usize) {
+        stats.add_cached(&mut self.reads, "reads", 1);
+        stats.add_cached(&mut self.bytes_read, "bytes_read", bytes as u64);
+    }
+
+    /// Counts one write of `bytes` bytes.
+    #[inline]
+    pub(crate) fn write(&mut self, stats: &mut Stats, bytes: usize) {
+        stats.add_cached(&mut self.writes, "writes", 1);
+        stats.add_cached(&mut self.bytes_written, "bytes_written", bytes as u64);
     }
 }
 

@@ -1,8 +1,10 @@
 //! The HyperBUS controller and HyperRAM device model (§III-B of the paper).
 
-use crate::device::check_range;
+use crate::device::{check_range, Traffic};
 use crate::{MemoryDevice, SparseStorage};
-use hulkv_sim::{convert_freq, Cycles, Freq, SharedTracer, SimError, Stats, TraceEvent, Track};
+use hulkv_sim::{
+    convert_freq, Cycles, Freq, SharedTracer, SimError, Stats, StatsHandle, TraceEvent, Track,
+};
 
 /// Configuration of the HyperRAM controller and the memories behind it.
 ///
@@ -125,6 +127,9 @@ pub struct HyperRam {
     cfg: HyperRamConfig,
     storage: SparseStorage,
     stats: Stats,
+    traffic: Traffic,
+    h_busy_cycles: Option<StatsHandle>,
+    h_bursts: Option<StatsHandle>,
     tracer: Option<SharedTracer>,
 }
 
@@ -151,6 +156,9 @@ impl HyperRam {
             cfg,
             storage,
             stats: Stats::new("hyperram"),
+            traffic: Traffic::default(),
+            h_busy_cycles: None,
+            h_bursts: None,
             tracer: None,
         })
     }
@@ -242,7 +250,7 @@ impl HyperRam {
             bursts += 1;
             pos += n;
         }
-        self.stats.add("bursts", bursts);
+        self.stats.add_cached(&mut self.h_bursts, "bursts", bursts);
         let phy = convert_freq(
             Cycles::new(bus_cycles),
             self.cfg.bus_freq,
@@ -266,10 +274,10 @@ impl MemoryDevice for HyperRam {
     fn read(&mut self, offset: u64, buf: &mut [u8]) -> Result<Cycles, SimError> {
         check_range(offset, buf.len(), self.size_bytes())?;
         self.storage.read(offset, buf);
-        self.stats.inc("reads");
-        self.stats.add("bytes_read", buf.len() as u64);
+        self.traffic.read(&mut self.stats, buf.len());
         let lat = self.latency(offset, buf.len());
-        self.stats.add("busy_cycles", lat.get());
+        self.stats
+            .add_cached(&mut self.h_busy_cycles, "busy_cycles", lat.get());
         self.trace_burst(offset, buf.len(), false, lat);
         Ok(lat)
     }
@@ -277,10 +285,10 @@ impl MemoryDevice for HyperRam {
     fn write(&mut self, offset: u64, data: &[u8]) -> Result<Cycles, SimError> {
         check_range(offset, data.len(), self.size_bytes())?;
         self.storage.write(offset, data);
-        self.stats.inc("writes");
-        self.stats.add("bytes_written", data.len() as u64);
+        self.traffic.write(&mut self.stats, data.len());
         let lat = self.latency(offset, data.len());
-        self.stats.add("busy_cycles", lat.get());
+        self.stats
+            .add_cached(&mut self.h_busy_cycles, "busy_cycles", lat.get());
         self.trace_burst(offset, data.len(), true, lat);
         Ok(lat)
     }

@@ -2,7 +2,7 @@
 //! parameterizable set-associative cache.
 
 use crate::{Cache, CacheConfig, MemoryDevice, SharedMem, WritePolicy};
-use hulkv_sim::{Cycles, SharedTracer, SimError, Stats, Track};
+use hulkv_sim::{Cycles, SharedTracer, SimError, Stats, StatsHandle, Track};
 
 /// Geometry of the LLC, expressed in the paper's own parameters.
 ///
@@ -90,6 +90,8 @@ pub struct Llc {
     cache: Cache,
     bypass: SharedMem,
     stats: Stats,
+    h_cacheable: Option<StatsHandle>,
+    h_bypassed: Option<StatsHandle>,
 }
 
 impl Llc {
@@ -115,6 +117,8 @@ impl Llc {
             cache,
             bypass: backing,
             stats: Stats::new("llc_front"),
+            h_cacheable: None,
+            h_bypassed: None,
         })
     }
 
@@ -195,20 +199,20 @@ impl MemoryDevice for Llc {
 
     fn read(&mut self, offset: u64, buf: &mut [u8]) -> Result<Cycles, SimError> {
         if self.cacheable(offset, buf.len()) {
-            self.stats.inc("cacheable");
+            self.stats.add_cached(&mut self.h_cacheable, "cacheable", 1);
             self.cache.read(offset, buf)
         } else {
-            self.stats.inc("bypassed");
+            self.stats.add_cached(&mut self.h_bypassed, "bypassed", 1);
             self.bypass.borrow_mut().read(offset, buf)
         }
     }
 
     fn write(&mut self, offset: u64, data: &[u8]) -> Result<Cycles, SimError> {
         if self.cacheable(offset, data.len()) {
-            self.stats.inc("cacheable");
+            self.stats.add_cached(&mut self.h_cacheable, "cacheable", 1);
             self.cache.write(offset, data)
         } else {
-            self.stats.inc("bypassed");
+            self.stats.add_cached(&mut self.h_bypassed, "bypassed", 1);
             self.bypass.borrow_mut().write(offset, data)
         }
     }

@@ -1,6 +1,6 @@
 //! Dense on-chip SRAM scratchpads.
 
-use crate::device::check_range;
+use crate::device::{check_range, Traffic};
 use crate::MemoryDevice;
 use hulkv_sim::{Cycles, SimError, Stats};
 
@@ -29,6 +29,7 @@ pub struct Sram {
     data: Vec<u8>,
     latency: Cycles,
     stats: Stats,
+    traffic: Traffic,
 }
 
 impl Sram {
@@ -39,6 +40,7 @@ impl Sram {
             data: vec![0; size],
             latency,
             stats: Stats::new(name),
+            traffic: Traffic::default(),
         }
     }
 
@@ -114,8 +116,7 @@ impl MemoryDevice for Sram {
         check_range(offset, buf.len(), self.size_bytes())?;
         let o = offset as usize;
         buf.copy_from_slice(&self.data[o..o + buf.len()]);
-        self.stats.inc("reads");
-        self.stats.add("bytes_read", buf.len() as u64);
+        self.traffic.read(&mut self.stats, buf.len());
         Ok(self.latency)
     }
 
@@ -123,8 +124,7 @@ impl MemoryDevice for Sram {
         check_range(offset, data.len(), self.size_bytes())?;
         let o = offset as usize;
         self.data[o..o + data.len()].copy_from_slice(data);
-        self.stats.inc("writes");
-        self.stats.add("bytes_written", data.len() as u64);
+        self.traffic.write(&mut self.stats, data.len());
         Ok(self.latency)
     }
 

@@ -4,9 +4,9 @@
 
 use hulkv_mem::{
     shared, Cache, CacheConfig, Ddr, DdrConfig, DmaEngine, HyperRam, HyperRamConfig, Llc,
-    LlcConfig, MemoryDevice, Sram, Transfer1d, Transfer2d, WritePolicy,
+    LlcConfig, MemoryDevice, SharedMem, Sram, Transfer1d, Transfer2d, WritePolicy,
 };
-use hulkv_sim::{Cycles, SplitMix64};
+use hulkv_sim::{Cycles, Snapshot, SplitMix64};
 
 const CASES: u64 = 24;
 
@@ -76,10 +76,88 @@ fn cache_is_data_transparent_across_geometries() {
             write_allocate: write_back,
             write_buffer: !write_back,
         };
-        let mut cache = Cache::new(cfg, backing).unwrap();
+        let mut cache = Cache::new(cfg.clone(), backing).unwrap();
         data_transparent(&mut cache, 1 << 14, 0x33cc_1000 + seed);
         // After a flush, the backing store is fully coherent.
         cache.flush().unwrap();
+        // The same geometry over a fresh backing store, now with fetch
+        // probes, flushes and snapshot round trips in the stream.
+        let backing = shared(Sram::new("b", 1 << 14, Cycles::new(20)));
+        let mut cache = Cache::new(cfg.clone(), backing.clone()).unwrap();
+        cache_stream(&mut cache, &cfg, &backing, 1 << 14, 0x33cc_1000 + seed);
+        cache.flush().unwrap();
+    }
+}
+
+/// Like [`data_transparent`], with fetch probes, flushes and snapshot
+/// round trips interleaved into the access stream. A probe that hits
+/// must count exactly one read hit; one that misses must change nothing.
+/// A round trip restores into a fresh cache over the same backing store,
+/// which must agree on digest and counters and then carries on.
+fn cache_stream(cache: &mut Cache, cfg: &CacheConfig, backing: &SharedMem, size: u64, seed: u64) {
+    let mut shadow = vec![0u8; size as usize];
+    let mut rng = SplitMix64::new(seed);
+    let mut last = 0u64;
+    for _ in 0..600 {
+        match rng.next_below(10) {
+            0..=3 => {
+                let len = 1 + rng.next_below(16) as usize;
+                let addr = rng.next_below(size - len as u64);
+                let mut data = vec![0u8; len];
+                rng.fill_bytes(&mut data);
+                cache.write(addr, &data).unwrap();
+                shadow[addr as usize..addr as usize + len].copy_from_slice(&data);
+                last = addr;
+            }
+            4..=6 => {
+                let len = 1 + rng.next_below(16) as usize;
+                let addr = rng.next_below(size - len as u64);
+                let mut got = vec![0u8; len];
+                cache.read(addr, &mut got).unwrap();
+                assert_eq!(&got[..], &shadow[addr as usize..addr as usize + len]);
+                last = addr;
+            }
+            7 => {
+                // Mostly the line just touched, so most probes hit.
+                let addr = if rng.next_below(4) == 0 {
+                    rng.next_below(size - 4)
+                } else {
+                    last & !3
+                };
+                let (hits, misses, bytes) = (
+                    cache.stats().get("hits"),
+                    cache.stats().get("misses"),
+                    cache.stats().get("bytes_read"),
+                );
+                let digest = cache.state_digest();
+                if cache.probe_fetch(addr, 4) {
+                    assert_eq!(cache.stats().get("hits"), hits + 1);
+                    assert_eq!(cache.stats().get("bytes_read"), bytes + 4);
+                    // A hit is a hit for the real read, too.
+                    let mut got = [0u8; 4];
+                    cache.read(addr, &mut got).unwrap();
+                    assert_eq!(cache.stats().get("misses"), misses);
+                    assert_eq!(&got[..], &shadow[addr as usize..addr as usize + 4]);
+                } else {
+                    assert_eq!(cache.state_digest(), digest);
+                    assert_eq!(cache.stats().get("hits"), hits);
+                    assert_eq!(cache.stats().get("bytes_read"), bytes);
+                }
+                assert_eq!(cache.stats().get("misses"), misses);
+            }
+            8 => {
+                cache.flush().unwrap();
+            }
+            _ => {
+                let mut snap = Snapshot::new();
+                let j = cache.snapshot_into(&mut snap);
+                let mut restored = Cache::new(cfg.clone(), backing.clone()).unwrap();
+                restored.restore_from(&snap, &j).unwrap();
+                assert_eq!(restored.state_digest(), cache.state_digest());
+                assert_eq!(restored.stats(), cache.stats());
+                *cache = restored;
+            }
+        }
     }
 }
 

@@ -1413,8 +1413,29 @@ impl Core {
     /// Returns `(pa, split)`: `split` is `Some((first_len, second_pa))`
     /// when the access straddles a boundary and must be issued as two bus
     /// transactions.
-    #[inline]
+    ///
+    /// Bare mode returns the identity mapping right away; only the Sv39
+    /// half is out of line, so every load and store in bare mode pays
+    /// just the `mmu_refresh` stamp check.
+    #[inline(always)]
     fn translate_span<B: CoreBus + ?Sized>(
+        &mut self,
+        bus: &mut B,
+        vaddr: u64,
+        len: usize,
+        kind: AccessKind,
+        extra: &mut Cycles,
+    ) -> Result<(u64, Option<(usize, u64)>), RvError> {
+        self.mmu_refresh();
+        if !self.mmu_cache.active {
+            return Ok((vaddr, None));
+        }
+        self.translate_span_sv39(bus, vaddr, len, kind, extra)
+    }
+
+    /// The Sv39 half of [`Core::translate_span`].
+    #[inline(never)]
+    fn translate_span_sv39<B: CoreBus + ?Sized>(
         &mut self,
         bus: &mut B,
         vaddr: u64,
@@ -1426,8 +1447,7 @@ impl Core {
             AccessKind::Store => TrapCause::StorePageFault,
             _ => TrapCause::LoadPageFault,
         };
-        self.mmu_refresh();
-        let straddles = self.mmu_cache.active && (vaddr & 0xFFF) + len as u64 > 0x1000;
+        let straddles = (vaddr & 0xFFF) + len as u64 > 0x1000;
         let pa = match self.translate(bus, vaddr, kind, extra) {
             Ok(pa) => pa,
             Err(_) => {

@@ -140,6 +140,34 @@ impl Stats {
         self.counters[h.0].1 += n;
     }
 
+    /// Adds `n` to `key` through the handle cached in `slot`, registering
+    /// it on first use. A counter that is never touched stays absent, as
+    /// with [`Stats::add`], so hot paths get [`Stats::bump`]'s cost without
+    /// a zero-valued key appearing in snapshots. `slot` must only ever be
+    /// used with this registry and this key.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hulkv_sim::Stats;
+    ///
+    /// let mut s = Stats::new("bus");
+    /// let mut reads = None;
+    /// assert_eq!(s.iter().count(), 0); // nothing registered up front
+    /// s.add_cached(&mut reads, "reads", 1);
+    /// s.add_cached(&mut reads, "reads", 2);
+    /// assert_eq!(s.get("reads"), 3);
+    /// ```
+    #[inline]
+    pub fn add_cached(&mut self, slot: &mut Option<StatsHandle>, key: &str, n: u64) {
+        let h = match *slot {
+            Some(h) => h,
+            None => *slot.insert(self.handle(key)),
+        };
+        debug_assert_eq!(self.counters[h.0].0, key, "handle cached for another key");
+        self.bump(h, n);
+    }
+
     /// Reads counter `key` (zero when never touched).
     pub fn get(&self, key: &str) -> u64 {
         self.idx(key).map_or(0, |i| self.counters[i].1)
@@ -261,6 +289,25 @@ mod tests {
         assert_eq!(s.get("hits"), 5);
         // Re-registering an existing key returns the same slot.
         assert_eq!(s.handle("hits"), h);
+    }
+
+    #[test]
+    fn cached_handles_register_on_first_use() {
+        let mut s = Stats::new("c");
+        let mut slot = None;
+        s.add_cached(&mut slot, "refills", 0);
+        // A zero first use registers the key exactly as `add(key, 0)` does.
+        let mut reference = Stats::new("c");
+        reference.add("refills", 0);
+        assert_eq!(s, reference);
+        s.add_cached(&mut slot, "refills", 4);
+        assert_eq!(slot, Some(s.handle("refills")));
+        // Reset keeps the key, so the cached handle stays bound to it.
+        s.reset();
+        s.add("other", 1);
+        s.add_cached(&mut slot, "refills", 2);
+        assert_eq!(s.get("refills"), 2);
+        assert_eq!(s.get("other"), 1);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! descriptively, never silently corrupt state.
 
 use hulkv::{map, HulkV, SocConfig, SocError};
-use hulkv_rv::{parse_program, Asm, RvError, Xlen};
+use hulkv_rv::{parse_program, Asm, Reg, RvError, Xlen};
+use hulkv_sim::Snapshot;
 
 #[test]
 fn runaway_host_program_times_out() {
@@ -55,6 +56,28 @@ fn unmapped_address_faults_with_address() {
         msg.contains("unmapped") || msg.contains("memory fault"),
         "{msg}"
     );
+
+    // The failed L1D refill must leave the SoC usable: a second program
+    // on the same SoC refills and then hits a line in the same L1D set
+    // (0x1C01_0000 and 0x7000_0000 both map to set 0).
+    let value = 0x0123_4567_89AB_CDEFu64;
+    soc.write_mem(0x1C01_0000, &value.to_le_bytes()).unwrap();
+    let reload = "li t0, 0x1C010000\nld a0, 0(t0)\nld a1, 0(t0)\nebreak\n";
+    soc.run_host_assembly(reload).unwrap();
+    assert_eq!(soc.host().core().reg(Reg::A0), value);
+    assert_eq!(soc.host().core().reg(Reg::A1), value);
+
+    // And the state round-trips through a snapshot: the restored SoC has
+    // the same digest and bytes, and reruns the program identically.
+    let bytes = soc.snapshot().to_bytes();
+    let mut back = HulkV::from_snapshot(&Snapshot::from_bytes(&bytes).unwrap()).unwrap();
+    assert_eq!(back.state_digest(), soc.state_digest());
+    assert_eq!(back.snapshot().to_bytes(), bytes);
+    assert_eq!(
+        back.run_host_assembly(reload).unwrap(),
+        soc.run_host_assembly(reload).unwrap()
+    );
+    assert_eq!(back.state_digest(), soc.state_digest());
 }
 
 #[test]

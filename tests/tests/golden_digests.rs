@@ -1,0 +1,172 @@
+//! Golden bit-identity check of the CVA6 memory path.
+//!
+//! Every run below starts from a fresh default SoC and pins what a guest,
+//! a debugger or a metrics consumer can observe afterwards: cycles,
+//! retired instructions, the combined state digest, and FNV-1a hashes of
+//! the metrics snapshot JSON and of the full snapshot bytes; one traced
+//! run also pins the hash of its exported trace events. A change to
+//! cache layout, hit paths or counter registration that moves any of them
+//! — even a counter key registered at zero — fails here. Regenerate the
+//! table only for a change that is meant to alter simulated behaviour.
+
+use hulkv::{map, HulkV, SocConfig};
+use hulkv_kernels::suite::{Kernel, KernelParams};
+use hulkv_kernels::synthetic::sweep_program;
+use hulkv_rv::Reg;
+use hulkv_sim::{category, Fnv64, Tracer};
+
+/// What one run leaves behind that must never move by accident.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Golden {
+    cycles: u64,
+    instret: u64,
+    state_digest: u64,
+    metrics_hash: u64,
+    snapshot_hash: u64,
+}
+
+fn observe(soc: &HulkV, cycles: u64, instret: u64) -> Golden {
+    let metrics = soc.metrics_snapshot().to_json().to_string();
+    Golden {
+        cycles,
+        instret,
+        state_digest: soc.state_digest(),
+        metrics_hash: Fnv64::new().write(metrics.as_bytes()).finish(),
+        snapshot_hash: Fnv64::new().write(&soc.snapshot().to_bytes()).finish(),
+    }
+}
+
+fn fresh() -> HulkV {
+    HulkV::new(SocConfig::default()).expect("default SoC builds")
+}
+
+fn host_kernel(k: Kernel) -> Golden {
+    let mut soc = fresh();
+    let run = k.run_on_host(&mut soc, &KernelParams::small()).unwrap();
+    assert!(run.verified, "{} host result", k.name());
+    observe(&soc, run.cycles.get(), soc.host().core().instret())
+}
+
+/// The Figure-7 sweep past the LLC: L1D misses go through the bridge,
+/// the LLC and HyperRAM.
+fn host_sweep() -> Golden {
+    let mut soc = fresh();
+    let cycles = soc
+        .run_host_program(
+            &sweep_program(48, 200),
+            |core| {
+                core.set_reg(Reg::A0, map::DRAM_BASE + 0x0300_0000);
+                core.set_reg(Reg::A1, map::DRAM_BASE + 0x0400_0000);
+            },
+            10_000_000_000,
+        )
+        .unwrap();
+    observe(&soc, cycles.get(), soc.host().core().instret())
+}
+
+/// A host kernel with every trace category on; returns the run's golden
+/// row and the hash of its JSONL trace export.
+fn traced_host_kernel() -> (Golden, u64) {
+    let mut soc = fresh();
+    let tracer = Tracer::shared(1 << 18);
+    tracer.borrow_mut().enable(category::ALL);
+    soc.attach_tracer(tracer.clone());
+    let run = Kernel::MaxPoolI8
+        .run_on_host(&mut soc, &KernelParams::small())
+        .unwrap();
+    assert!(run.verified, "traced host result");
+    let events = tracer.borrow().jsonl();
+    (
+        observe(&soc, run.cycles.get(), soc.host().core().instret()),
+        Fnv64::new().write(events.as_bytes()).finish(),
+    )
+}
+
+fn cluster_kernel() -> Golden {
+    let mut soc = fresh();
+    let run = Kernel::MatMulI8
+        .run_on_cluster(&mut soc, &KernelParams::small(), 8)
+        .unwrap();
+    assert!(run.verified, "cluster result");
+    let instret = run.offload.team.per_core_instret.iter().sum();
+    observe(&soc, run.offload.total_soc_cycles.get(), instret)
+}
+
+/// `(run, cycles, instret, state_digest, metrics_hash, snapshot_hash)`,
+/// one row per line as `check` prints them.
+#[rustfmt::skip]
+const GOLDEN: [(&str, u64, u64, u64, u64, u64); 12] = [
+    ("matmul-int8", 2950101, 2150659, 0x8ed8e7ffdc39652b, 0xa54540dcb2d1bc67, 0xcc9a72f87cf99814),
+    ("matmul-int32", 2960597, 2158851, 0x501d58d49c290a85, 0xd8dd42918f5d9a44, 0x541a241b541daf65),
+    ("conv2d-int8", 54530, 41102, 0xb921a8ceb0ac532a, 0x467868968ac6d3f5, 0xb8f6a2992be69de2),
+    ("fir-int16", 190683, 142339, 0x062b0e93dc30efdc, 0x34faeff9feb739c6, 0x47748c244a117430),
+    ("relu-int8", 86814, 69618, 0x9e6ebbd41e122b4d, 0x90df6efa93397a47, 0xe1099eb24568d61e),
+    ("maxpool-int8", 29074, 20714, 0x38613ef6eb07b271, 0xf73a561fdfe24dd6, 0xfca7456458389f89),
+    ("matmul-fp16", 3222741, 1896707, 0xfb8f670c12ee15ef, 0xeb19fc56836bcbd6, 0x435b4c512b5d5810),
+    ("dotp-fp32", 26129, 16391, 0x4f144f8793351f12, 0x459478b550e2f4d9, 0x86f7638fad752786),
+    ("axpy-fp32", 28176, 18438, 0xadb191f3bf51467c, 0xe5699eaec4c8e4e9, 0x9a0822878e234adb),
+    ("sweep-48x200", 2077871, 71407, 0x2c2c635fdd75c86f, 0x479b0b68478b1233, 0x08b4f8918bd00316),
+    ("traced-maxpool-int8", 29074, 20714, 0x38613ef6eb07b271, 0xc72e53f1979e1de0, 0xbba93698e7ffda99),
+    ("cluster-matmul-int8", 28851, 171416, 0x22b0923e29b358c2, 0xb4fd03a555e44b0e, 0x8147df4bb1f31a61),
+];
+
+/// FNV-1a of the traced run's JSONL trace export.
+const TRACED_EVENTS_HASH: u64 = 0x18d5_dbe0_ec60_f3c9;
+
+fn expected(run: &str) -> Golden {
+    let &(_, cycles, instret, state_digest, metrics_hash, snapshot_hash) = GOLDEN
+        .iter()
+        .find(|g| g.0 == run)
+        .unwrap_or_else(|| panic!("no golden entry for {run}"));
+    Golden {
+        cycles,
+        instret,
+        state_digest,
+        metrics_hash,
+        snapshot_hash,
+    }
+}
+
+/// Prints every observed row in table syntax (visible with
+/// `--nocapture`), then fails naming each run that moved.
+fn check(runs: &[(&str, Golden)]) {
+    for (run, got) in runs {
+        println!(
+            "(\"{run}\", {}, {}, {:#018x}, {:#018x}, {:#018x}),",
+            got.cycles, got.instret, got.state_digest, got.metrics_hash, got.snapshot_hash
+        );
+    }
+    let moved: Vec<_> = runs
+        .iter()
+        .filter(|(run, got)| *got != expected(run))
+        .map(|(run, _)| *run)
+        .collect();
+    assert!(moved.is_empty(), "moved from golden: {moved:?}");
+}
+
+#[test]
+fn host_kernels_match_golden() {
+    let runs: Vec<_> = Kernel::ALL
+        .iter()
+        .map(|&k| (k.name(), host_kernel(k)))
+        .collect();
+    check(&runs);
+}
+
+#[test]
+fn host_sweep_matches_golden() {
+    check(&[("sweep-48x200", host_sweep())]);
+}
+
+#[test]
+fn traced_host_kernel_matches_golden() {
+    let (got, events) = traced_host_kernel();
+    println!("TRACED_EVENTS_HASH = {events:#018x}");
+    check(&[("traced-maxpool-int8", got)]);
+    assert_eq!(events, TRACED_EVENTS_HASH, "trace events moved");
+}
+
+#[test]
+fn cluster_offload_matches_golden() {
+    check(&[("cluster-matmul-int8", cluster_kernel())]);
+}

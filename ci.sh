@@ -64,9 +64,10 @@ cargo run --release -p hulkv-analyze --bin hulkv-lint -- --ci
 
 echo "== differential fuzz (fixed seed) =="
 # 500 random programs per ISA side, fast paths on vs off in lockstep —
-# every bare-core program runs the ladder twice, per-retire and
-# block-granular (superblocks vs plain interpreter, synced at random
-# in-block offsets), and every cluster team program runs a third time:
+# every bare-core program runs the per-retire ladder, bare RV64 programs
+# also run it block-granular (superblocks vs plain interpreter, synced
+# at random in-block offsets; Xpulp cores never dispatch blocks), and
+# every cluster team program runs a second time:
 # serial executor vs thread-pool executor through the quantum engine,
 # with hart-striped racing TCDM traffic and digests compared at every
 # quantum boundary; any architectural or cycle divergence fails the
@@ -109,16 +110,19 @@ echo "== simulator throughput smoke + telemetry =="
 # Quick decode-cache on/off run: proves cycle-count neutrality and fails
 # if simulated MIPS regressed >30% against the committed baseline (the
 # baseline is deliberately conservative to absorb machine variance).
+# Its JSON goes to a temp file, so the run leaves the committed
+# BENCH_sim_throughput.json alone.
 # --timeline-out also samples the mixed workload: the bench itself
 # verifies the timeline (non-empty, windows contiguous and monotone in
 # cycles, integrated energy == avg power x time within 1%) and aborts on
 # any violation; the shell re-checks the exported file's shape so a
 # silently-empty export also fails.
 timeline="$(mktemp --suffix=.csv)"
-trap 'rm -f "$fuzz_log" "$race_log" "$timeline"' EXIT
+quick_json="$(mktemp --suffix=.json)"
+trap 'rm -f "$fuzz_log" "$race_log" "$timeline" "$quick_json"' EXIT
 cargo run --release -p hulkv-bench --bin sim_throughput -- \
   --quick --baseline BENCH_sim_throughput.baseline.json \
-  --timeline-out "$timeline"
+  --timeline-out "$timeline" --out "$quick_json"
 awk -F, '
   NR == 1 { next }                        # header
   $2 + 0 <= $1 + 0 { print "ci.sh: timeline window " NR " not monotone"; bad = 1 }
@@ -140,9 +144,10 @@ echo "== snapshot / record-replay gate (hulkv-replay) =="
 # and decode cache off must all replay bit-exactly, and all three
 # recordings must reach the same final cycle count and state digest —
 # the shell-level cross-mode check that the superblock engine is
-# invisible to architecture and timing.
+# invisible to architecture and timing. --no-superblocks switches the
+# CVA6 host only; the PMCA cores never run blocks.
 replay_dir="$(mktemp -d)"
-trap 'rm -f "$fuzz_log" "$race_log" "$timeline"; rm -rf "$replay_dir"' EXIT
+trap 'rm -f "$fuzz_log" "$race_log" "$timeline" "$quick_json"; rm -rf "$replay_dir"' EXIT
 cargo build --release -q -p hulkv-replay
 replay=target/release/hulkv-replay
 "$replay" record --out "$replay_dir/fig6.hrec" --kernel relu-int8 --period 10000 \
@@ -196,7 +201,7 @@ echo "== live telemetry scrape (hulkv-obs) =="
 # exactly. GET /quit releases the lingering server.
 obs_dir="$(mktemp -d)"
 obs_pid=""
-trap 'rm -f "$fuzz_log" "$race_log" "$timeline"; rm -rf "$replay_dir" "$obs_dir"; { [ -n "${obs_pid:-}" ] && kill "$obs_pid" 2>/dev/null; } || true' EXIT
+trap 'rm -f "$fuzz_log" "$race_log" "$timeline" "$quick_json"; rm -rf "$replay_dir" "$obs_dir"; { [ -n "${obs_pid:-}" ] && kill "$obs_pid" 2>/dev/null; } || true' EXIT
 cargo run --release -q -p hulkv-bench --bin sim_throughput -- \
   --quick --serve-metrics 127.0.0.1:0 --serve-linger-ms 60000 \
   --metrics-out "$obs_dir/final.json" --out "$obs_dir/bench.json" \

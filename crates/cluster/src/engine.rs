@@ -70,7 +70,6 @@ struct LaunchSpec {
     args: Vec<(Reg, u64)>,
     sp: u64,
     decode_cache: bool,
-    superblocks: bool,
     image: Arc<Vec<u8>>,
     priv_sets: usize,
     conflict_q16: u64,
@@ -449,7 +448,8 @@ impl CoreBus for QuantumBus {
         Ok((u32::from_le_bytes(b), self.ext_stall(Cycles::new(lat))))
     }
 
-    #[inline]
+    // Hit paths, run per replayed fetch and per TCDM access.
+    #[inline(always)]
     fn fetch_touch(&mut self, addr: u64) -> bool {
         let first = addr & !(LINE_BYTES - 1);
         if (addr + 3) & !(LINE_BYTES - 1) != first {
@@ -469,7 +469,7 @@ impl CoreBus for QuantumBus {
     // resident fetch's result is stable for the whole team and decoded
     // entries stay replayable across private-tag conflict misses.
 
-    #[inline]
+    #[inline(always)]
     fn load(&mut self, addr: u64, buf: &mut [u8]) -> Result<Cycles, SimError> {
         if let Some(off) = self.tcdm_offset(addr, buf.len()) {
             self.tcdm_accesses += 1;
@@ -501,7 +501,7 @@ impl CoreBus for QuantumBus {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn store(&mut self, addr: u64, data: &[u8]) -> Result<Cycles, SimError> {
         if let Some(off) = self.tcdm_offset(addr, data.len()) {
             self.tcdm_accesses += 1;
@@ -564,7 +564,6 @@ impl CoreRunner {
             None => Core::ri5cy(spec.hartid),
         };
         core.set_decode_cache(spec.decode_cache);
-        core.set_superblocks(spec.superblocks);
         if let Some(t) = tracer {
             core.set_tracer(t);
         }
@@ -944,7 +943,6 @@ pub(crate) fn run_team(
             args: args.to_vec(),
             sp: tcdm_top - (hartid * cfg.stack_bytes) as u64,
             decode_cache: cfg.decode_cache,
-            superblocks: cfg.superblocks,
             image: image.clone(),
             priv_sets: (cfg.icache_private_bytes / 32).max(1).next_power_of_two(),
             conflict_q16,

@@ -66,9 +66,6 @@ pub struct ClusterConfig {
     /// Whether the cores use the simulator's decoded-instruction cache
     /// (host-side fast path; cycle-neutral, off only for ablation runs).
     pub decode_cache: bool,
-    /// Whether the cores run the superblock (chained basic-block) engine
-    /// on top of the decode cache (also cycle-neutral; ablation only).
-    pub superblocks: bool,
     /// Cycle quantum of the deterministic-parallel team engine: cores
     /// simulate in lock-step windows of this many cluster cycles, with all
     /// shared-state interactions resolved canonically at the boundaries.
@@ -110,7 +107,6 @@ impl Default for ClusterConfig {
             barrier_cycles: 8,
             stack_bytes: 1024,
             decode_cache: true,
-            superblocks: true,
             quantum_cycles: 4096,
             workers: 0,
             race_sanitizer: false,

@@ -189,7 +189,6 @@ impl SocConfig {
             ("barrier_cycles", hex(self.cluster.barrier_cycles)),
             ("stack_bytes", hex(self.cluster.stack_bytes as u64)),
             ("decode_cache", Json::Bool(self.cluster.decode_cache)),
-            ("superblocks", Json::Bool(self.cluster.superblocks)),
             ("quantum_cycles", hex(self.cluster.quantum_cycles)),
             ("workers", hex(self.cluster.workers as u64)),
             ("race_sanitizer", Json::Bool(self.cluster.race_sanitizer)),
@@ -286,6 +285,9 @@ impl SocConfig {
             superblocks: opt_bool(h, "superblocks")?,
         };
         let c = get(j, "cluster")?;
+        // Retired key (cluster cores no longer run superblocks) that older
+        // documents still carry: type-check it, then drop it.
+        opt_bool(c, "superblocks")?;
         let cluster = ClusterConfig {
             cores: get_u64(c, "cores")? as usize,
             banks: get_u64(c, "banks")? as usize,
@@ -297,7 +299,6 @@ impl SocConfig {
             barrier_cycles: get_u64(c, "barrier_cycles")?,
             stack_bytes: get_u64(c, "stack_bytes")? as usize,
             decode_cache: get_bool(c, "decode_cache")?,
-            superblocks: opt_bool(c, "superblocks")?,
             quantum_cycles: opt_u64(c, "quantum_cycles", 4096)?,
             workers: opt_u64(c, "workers", 0)? as usize,
             // Optional-with-default-*false*: configs predating the race

@@ -243,10 +243,9 @@ pub enum GenItem {
     /// executing the store must not replay its own stale tail (with or
     /// without an intervening `fence.i`).
     SbSmcTail { imm: i8, fence: bool, pad: u8 },
-    /// Superblock-hostile (RV32 only): a hardware loop whose straight-line
-    /// body is longer than the engine's per-block length cap, so the body
-    /// splits into chained blocks and the zero-cycle back-edge targets a
-    /// block interior to the chain.
+    /// RV32 only: a hardware loop whose straight-line body (56..=119
+    /// instructions) exceeds the superblock length cap; Xpulp cores never
+    /// dispatch blocks, so it replays from the decode cache.
     SbLongLoop { body: u8, count: u8, len: u8 },
     /// Cluster only: a hart-striped TCDM hammer. Each core derives a
     /// pointer from `mhartid` and bursts word stores/loads through it at

@@ -18,9 +18,10 @@
 //! when architectural state agrees.
 //!
 //! [`run_superblock_lockstep`] extends the ladder to the superblock
-//! engine: the fast side executes whole chained blocks per dispatch via
-//! `run_until_cycle`, synced to the per-retire reference at randomly
-//! sized cycle boundaries so every in-block offset becomes a sync point.
+//! engine on bare RV64 programs: the fast side executes whole chained
+//! blocks per dispatch via `run_until_cycle`, synced to the per-retire
+//! reference at randomly sized cycle boundaries so every in-block offset
+//! becomes a sync point.
 
 use crate::gen::{Isa, Program};
 use hulkv_cluster::{Cluster, ClusterConfig};
@@ -399,8 +400,9 @@ pub fn run_lockstep(prog: &Program, opts: &LockstepOptions) -> Result<LockstepSt
 /// (decode cache + superblocks) is driven through
 /// [`Core::run_until_cycle`] in randomly sized chunks, so sync points
 /// land at every offset within a block — mid-block budget exits, resumed
-/// dispatches, chain follows, and fused hw-loop restarts all get
-/// exercised against the same program.
+/// dispatches, chain follows, and fused self-loop restarts all get
+/// exercised against the same program. Host-core programs only: Xpulp
+/// cores never dispatch blocks.
 ///
 /// Every instruction retires at least one cycle, so a cycle target taken
 /// from the reference always lands on the same retire boundary in the
@@ -860,27 +862,26 @@ pub fn run_team_workers_lockstep(
 
 /// Dispatches a program to the harness matching its ISA side.
 ///
-/// Bare-core programs run the ladder twice: once per-retire (decode
-/// cache on vs off) and once block-granular
-/// ([`run_superblock_lockstep`]), so every generated program checks the
-/// superblock engine against the plain interpreter too. Cluster programs
-/// run *their* ladder twice as well: decode cache on vs off
-/// ([`run_cluster_lockstep`]), then serial vs thread-pool executor with
-/// per-quantum digest comparison ([`run_team_workers_lockstep`]) — the
-/// team size is drawn from the program seed so campaigns cover 2-, 4-
-/// and 8-core contention patterns. Cluster programs exercise superblocks
-/// implicitly — `run_team` drives its cores through `Core::run`, which
-/// dispatches blocks whenever the fast side has the decode cache on.
+/// Bare-core programs run the per-retire ladder (decode cache on vs
+/// off); bare RV64 programs also run it block-granular
+/// ([`run_superblock_lockstep`]), checking the superblock engine against
+/// the plain interpreter. Cluster programs run *their* ladder twice:
+/// decode cache on vs off ([`run_cluster_lockstep`]), then serial vs
+/// thread-pool executor with per-quantum digest comparison
+/// ([`run_team_workers_lockstep`]) — the team size is drawn from the
+/// program seed so campaigns cover 2-, 4- and 8-core contention
+/// patterns.
 pub fn run_differential(
     prog: &Program,
     opts: &LockstepOptions,
 ) -> Result<LockstepStats, Divergence> {
     match prog.isa {
-        Isa::Rv64Sv39 | Isa::Rv32Pulp => {
+        Isa::Rv64Sv39 => {
             let stats = run_lockstep(prog, opts)?;
             run_superblock_lockstep(prog, opts)?;
             Ok(stats)
         }
+        Isa::Rv32Pulp => run_lockstep(prog, opts),
         Isa::Rv64Host => run_host_lockstep(prog, opts),
         Isa::Rv32Cluster => {
             let stats = run_cluster_lockstep(prog, 2)?;

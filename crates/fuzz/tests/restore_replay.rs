@@ -8,6 +8,7 @@
 use hulkv_fuzz::gen::{self, GenItem, Isa, Program};
 use hulkv_fuzz::lockstep::repro_env;
 use hulkv_rv::{Core, FlatBus};
+use hulkv_sim::snap::{get_arr, get_u64};
 use hulkv_sim::{Json, Snapshot, SplitMix64};
 
 fn checkpoint_and_replay(isa: Isa, seed: u64) {
@@ -76,19 +77,35 @@ fn rv64_sv39_repro_restores_and_replays() {
     checkpoint_and_replay(Isa::Rv64Sv39, 0x2026_0809);
 }
 
-/// Serializes `core`+`bus` and returns the wire bytes plus whether the
-/// checkpoint landed mid-block (the superblock resume continuation is
-/// armed in the core section).
-fn checkpoint(core: &Core, bus: &FlatBus) -> (Vec<u8>, bool) {
+/// Serializes `core`+`bus` and returns the wire bytes if `pick` accepts
+/// the core section.
+fn checkpoint(core: &Core, bus: &FlatBus, pick: impl Fn(&Json) -> bool) -> Option<Vec<u8>> {
     let mut snap = Snapshot::new();
     let cj = core.snapshot_into(&mut snap);
-    let mid_block = cj
-        .get("sb_resume")
-        .is_some_and(|v| !matches!(v, Json::Null));
+    if !pick(&cj) {
+        return None;
+    }
     let bj = bus.snapshot_into(&mut snap);
     snap.set_section("core", cj);
     snap.set_section("bus", bj);
-    (snap.to_bytes(), mid_block)
+    Some(snap.to_bytes())
+}
+
+/// The checkpoint interrupted a superblock: the resume continuation is
+/// armed in the core section.
+fn mid_block(core: &Json) -> bool {
+    core.get("sb_resume")
+        .is_some_and(|v| !matches!(v, Json::Null))
+}
+
+/// The checkpoint landed inside a hardware loop: one is still armed and
+/// a back-edge has already been taken.
+fn mid_hw_loop(core: &Json) -> bool {
+    let armed = get_arr(core, "hwloops")
+        .unwrap()
+        .iter()
+        .any(|l| get_u64(l, "count").unwrap() > 0);
+    armed && get_u64(core.get("counters").unwrap(), "hwloop_iters").unwrap() > 0
 }
 
 /// Drives `core` to completion in `chunk`-cycle `run_until_cycle` slices
@@ -111,9 +128,14 @@ fn finish_chunked(core: &mut Core, bus: &mut FlatBus, chunk: u64) {
 /// modes; every twin must finish with cycles, architectural digest,
 /// memory image, and non-`sb_*` Stats identical to an uninterrupted
 /// plain-interpreter reference. `record_sb` picks the recording mode;
-/// `want_mid_block` demands that the checkpoint interrupted a block (the
-/// resume continuation is armed in the snapshot).
-fn cross_mode_checkpoint(prog: &Program, chunk: u64, record_sb: bool, want_mid_block: bool) {
+/// the checkpoint is the first chunk boundary past a warm-up whose core
+/// section `pick` accepts.
+fn cross_mode_checkpoint(
+    prog: &Program,
+    chunk: u64,
+    record_sb: bool,
+    pick: impl Fn(&Json) -> bool,
+) {
     // Uninterrupted plain-interpreter reference.
     let (mut refc, mut rbus) = repro_env(prog, false);
     for _ in 0..1_000_000 {
@@ -124,8 +146,8 @@ fn cross_mode_checkpoint(prog: &Program, chunk: u64, record_sb: bool, want_mid_b
     assert!(refc.is_halted(), "reference did not halt");
 
     // Recording side: chunked `run_until_cycle`, checkpoint at the first
-    // chunk boundary past a warm-up (so blocks and hw-loop state are
-    // live), preferring a boundary where the budget split a block.
+    // accepted chunk boundary past a warm-up (so blocks and hw-loop state
+    // are live).
     let (mut core, mut bus) = repro_env(prog, true);
     core.set_superblocks(record_sb);
     let mut picked = None;
@@ -139,14 +161,13 @@ fn cross_mode_checkpoint(prog: &Program, chunk: u64, record_sb: bool, want_mid_b
         if n < 3 {
             continue;
         }
-        let (bytes, mid_block) = checkpoint(&core, &bus);
-        if mid_block || !want_mid_block {
-            picked = Some(bytes);
+        picked = checkpoint(&core, &bus, &pick);
+        if picked.is_some() {
             break;
         }
     }
     let bytes = picked.unwrap_or_else(|| {
-        panic!("no mid-block checkpoint boundary found (record_sb {record_sb}, chunk {chunk})")
+        panic!("no accepted checkpoint boundary found (record_sb {record_sb}, chunk {chunk})")
     });
     finish_chunked(&mut core, &mut bus, chunk);
     assert_eq!(core.state_digest(), refc.state_digest());
@@ -192,9 +213,8 @@ fn cross_mode_checkpoint(prog: &Program, chunk: u64, record_sb: bool, want_mid_b
 }
 
 /// A deterministic Xpulp program whose execution is dominated by
-/// hardware loops: a fused-block loop, a loop whose body straddles the
-/// superblock length cap (so the zero-cycle back-edge targets a chained
-/// block), and a second fused loop.
+/// hardware loops: two short ones around one whose body is longer than
+/// the superblock length cap.
 fn hwloop_heavy_prog() -> Program {
     Program {
         isa: Isa::Rv32Pulp,
@@ -217,48 +237,24 @@ fn hwloop_heavy_prog() -> Program {
     }
 }
 
+/// Mid-block resume on the one core type that dispatches blocks.
 #[test]
 fn superblock_recording_replays_in_both_modes() {
     let mut rng = SplitMix64::new(0x2026_0810);
     let prog = gen::generate(&mut rng, Isa::Rv64Sv39);
-    cross_mode_checkpoint(&prog, 7, true, true);
+    cross_mode_checkpoint(&prog, 7, true, mid_block);
 }
 
+/// Xpulp cores never dispatch blocks, so the superblock switch changes
+/// nothing on either side of the checkpoint.
 #[test]
-fn interpreter_recording_replays_in_both_modes() {
+fn xpulp_recording_replays() {
     let mut rng = SplitMix64::new(0x2026_0811);
     let prog = gen::generate(&mut rng, Isa::Rv32Pulp);
-    // An interpreter-mode recording never arms the resume continuation.
-    cross_mode_checkpoint(&prog, 7, false, false);
+    cross_mode_checkpoint(&prog, 7, false, |_| true);
 }
 
 #[test]
-fn checkpoint_mid_hw_loop_replays_in_both_modes() {
-    let prog = hwloop_heavy_prog();
-
-    // Establish that the tiny chunk size actually checkpoints while a
-    // hardware loop is in flight: some iterations retired, more to come.
-    let (mut probe, mut pbus) = repro_env(&prog, true);
-    let mut saw_mid_loop = false;
-    let total = {
-        let (mut c, mut b) = repro_env(&prog, true);
-        finish_chunked(&mut c, &mut b, 1_000_000);
-        c.stats().get("hwloop_iters")
-    };
-    assert!(total > 0, "program must execute hardware loops");
-    for _ in 0..1_000_000 {
-        if probe
-            .run_until_cycle(&mut pbus, probe.cycles().get() + 3)
-            .unwrap()
-        {
-            break;
-        }
-        let iters = probe.stats().get("hwloop_iters");
-        if iters > 0 && iters < total {
-            saw_mid_loop = true;
-        }
-    }
-    assert!(saw_mid_loop, "no checkpoint boundary landed mid-hw-loop");
-
-    cross_mode_checkpoint(&prog, 3, true, true);
+fn checkpoint_mid_hw_loop_replays() {
+    cross_mode_checkpoint(&hwloop_heavy_prog(), 3, true, mid_hw_loop);
 }

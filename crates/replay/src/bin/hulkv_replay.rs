@@ -3,7 +3,7 @@
 //! ```text
 //! hulkv-replay record --out FILE [--kernel NAME] [--cores N]
 //!                     [--period N] [--capacity N] [--no-decode-cache]
-//!                     [--no-superblocks] [--serve-metrics ADDR]
+//!                     [--no-superblocks (CVA6 host only)] [--serve-metrics ADDR]
 //! hulkv-replay verify FILE [--serve-metrics ADDR]
 //!                                     exhaustive checkpoint/replay audit
 //! hulkv-replay info FILE              recording summary
@@ -134,7 +134,6 @@ fn cmd_record(args: &[String]) -> i32 {
     cfg.host.decode_cache = decode_cache;
     cfg.cluster.decode_cache = decode_cache;
     cfg.host.superblocks = superblocks;
-    cfg.cluster.superblocks = superblocks;
     let mut rec = match Recorder::new(cfg, period, capacity) {
         Ok(r) => r,
         Err(e) => return fail(&format!("SoC bring-up failed: {e}")),

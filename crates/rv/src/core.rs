@@ -1175,7 +1175,7 @@ impl Core {
     /// `decode_invalidations` counter and emits a [`TraceEvent::DecodeCache`]
     /// sample when a tracer is attached.
     pub fn invalidate_decoded(&mut self) {
-        if self.sb_enabled && self.decode_enabled {
+        if self.sb_enabled && self.decode_enabled && !self.xpulp {
             self.counters.sb_invalidations += 1;
         }
         self.drop_decoded();
@@ -1188,7 +1188,8 @@ impl Core {
     /// engine is exact: cycles, architectural state and every non-`sb_*`
     /// counter are bit-identical on vs. off — only wall-clock speed and
     /// the `sb_*` telemetry change. Default: enabled (inert while the
-    /// decode cache is off or any observability hook is attached).
+    /// decode cache is off or any observability hook is attached, and on
+    /// Xpulp cores).
     pub fn set_superblocks(&mut self, enabled: bool) {
         if self.sb_enabled != enabled {
             self.sb_enabled = enabled;

@@ -31,10 +31,14 @@
 //! `run_until_cycle` budgets are checked before every entry and
 //! [`Core::run`] limits after every retire, so chunked runs (Timeline
 //! windows, Recorder checkpoints) stop on exactly the retire boundary the
-//! plain interpreter would. Xpulp hardware-loop back-edges are handled
-//! after every inline entry just like the interpreter's commit path; a
-//! back-edge landing on the block's own start restarts the block in place
-//! — the fused hot-loop form — and any other target exits to the chain.
+//! plain interpreter would. A taken back-edge to the block's own start
+//! restarts the block in place — the fused hot-loop form — and any other
+//! target exits to the chain.
+//!
+//! Xpulp (RI5CY) cores never dispatch blocks, nor allocate a block store:
+//! most of a PMCA kernel's inner-loop entries are memory accesses that
+//! leave the block for [`Core::execute`] anyway, so [`Core::step`]'s
+//! decode-cache replay runs them faster (DESIGN.md §13.5).
 //!
 //! # The stamped turbo prefix
 //!
@@ -155,6 +159,8 @@ pub(crate) struct SbBlock {
 /// block indices are therefore stable for the lifetime of every link.
 #[derive(Debug, Clone)]
 pub(crate) struct SbCache {
+    /// `SB_MAP` entries once the first block is stored; empty before, so
+    /// a core that never dispatches blocks never pays for the table.
     map: Box<[u32]>,
     pub(crate) blocks: Vec<SbBlock>,
 }
@@ -196,19 +202,31 @@ pub(crate) enum SbExit {
 impl SbCache {
     pub(crate) fn new() -> Self {
         SbCache {
-            map: vec![NO_BLOCK; SB_MAP].into_boxed_slice(),
+            map: Box::default(),
             blocks: Vec::new(),
         }
     }
 
     #[inline]
     fn lookup(&self, va: u64) -> Option<u32> {
-        let idx = self.map[(va >> 1) as usize & (SB_MAP - 1)];
+        let idx = *self.map.get((va >> 1) as usize & (SB_MAP - 1))?;
         if idx != NO_BLOCK && self.blocks[idx as usize].start == va {
             Some(idx)
         } else {
             None
         }
+    }
+
+    /// Appends `block` and points its dispatch-table slot at it,
+    /// allocating the table on first use.
+    fn push(&mut self, block: SbBlock) -> u32 {
+        if self.map.is_empty() {
+            self.map = vec![NO_BLOCK; SB_MAP].into_boxed_slice();
+        }
+        let idx = self.blocks.len() as u32;
+        self.map[(block.start >> 1) as usize & (SB_MAP - 1)] = idx;
+        self.blocks.push(block);
+        idx
     }
 }
 
@@ -314,10 +332,8 @@ impl Core {
                     return Err(SnapError::msg("superblock link out of range"));
                 }
             }
-            let start = u64_at(h, 0);
-            let idx = self.sb.blocks.len() as u32;
-            self.sb.blocks.push(SbBlock {
-                start,
+            self.sb.push(SbBlock {
+                start: u64_at(h, 0),
                 paged: h[36] != 0,
                 succ,
                 entries,
@@ -330,7 +346,6 @@ impl Core {
                 pure_end: 0,
                 stamp: SbStamp::INVALID,
             });
-            self.sb.map[(start >> 1) as usize & (SB_MAP - 1)] = idx;
         }
         if off != blob.len() {
             return Err(SnapError::msg("superblock blob has trailing bytes"));
@@ -338,13 +353,14 @@ impl Core {
         Ok(())
     }
 
-    /// Whether block dispatch is in play: both fast-path switches on and
-    /// no per-retire observability attached (trace ring, tracer,
-    /// profiler all need instruction-granular hooks, so they pin the
-    /// core to the interpreter — which is bit-identical anyway).
+    /// Whether block dispatch is in play: both fast-path switches on, not
+    /// an Xpulp core (see the module docs), and no per-retire
+    /// observability attached (trace ring, tracer, profiler all need
+    /// instruction-granular hooks, so they pin the core to the
+    /// interpreter — which is bit-identical anyway).
     #[inline]
     pub(crate) fn sb_active(&self) -> bool {
-        self.sb_enabled && self.decode_enabled && !self.observe
+        self.sb_enabled && self.decode_enabled && !self.xpulp && !self.observe
     }
 
     pub(crate) fn sb_clear(&mut self) {
@@ -407,8 +423,7 @@ impl Core {
         if self.sb.blocks.len() >= SB_MAX_BLOCKS {
             self.sb_clear();
         }
-        let idx = self.sb.blocks.len() as u32;
-        self.sb.blocks.push(SbBlock {
+        Some(self.sb.push(SbBlock {
             start,
             paged,
             succ: [SbLink::NONE; 2],
@@ -418,9 +433,7 @@ impl Core {
             pure_paged: 0,
             pure_end: 0,
             stamp: SbStamp::INVALID,
-        });
-        self.sb.map[(start >> 1) as usize & (SB_MAP - 1)] = idx;
-        Some(idx)
+        }))
     }
 
     /// Resolves the successor of block `from` at `pc`: the direct-threaded
@@ -553,6 +566,9 @@ impl Core {
                 self.counters.arith_ops += 1;
             }
             Inst::MulDiv32 { op, rd, rs1, rs2 } => self.exec_muldiv32(op, rd, rs1, rs2),
+            // Xpulp-only: a CVA6 never decodes these. Deleting the arms
+            // still slowed the CVA6 block loop (`host_fig6` +4% to +9%)
+            // through register allocation; DESIGN.md §13.5.
             Inst::Mac {
                 rd,
                 rs1,
@@ -618,12 +634,11 @@ impl Core {
             // with no per-entry slot checks, no per-entry fetch touches
             // (the bus declared them pure), and bulk counter updates —
             // producing the exact retires, cycles and Stats the checked
-            // loop below would. Hardware loops force the checked loop
-            // while active (their back-edge scan is per-retire), and a
-            // prefix that could reach the `run_until_cycle` or `run`
-            // budget falls back too, so the stop still lands on the
-            // precise boundary. Sits at the loop top so the fused
-            // self-loop restart below re-enters it every iteration.
+            // loop below would. A prefix that could reach the
+            // `run_until_cycle` or `run` budget falls back to the checked
+            // loop, so the stop still lands on the precise boundary. Sits
+            // at the loop top so the fused self-loop restart below
+            // re-enters it every iteration.
             if i == 0 && prefix_clean && ft_pure {
                 let blk = &self.sb.blocks[bidx];
                 let plen = blk.pure_len as usize;
@@ -632,7 +647,6 @@ impl Core {
                     && blk.stamp.version == ver
                     && blk.stamp.epoch == epoch
                     && blk.stamp.mode == mode
-                    && !(self.xpulp && (self.hwloops[0].count > 0 || self.hwloops[1].count > 0))
                     && cycles.saturating_add(u64::from(blk.pure_cost)) < stop_at
                     && cycles.saturating_add(u64::from(blk.pure_cost)) <= limit
                 {
@@ -759,13 +773,13 @@ impl Core {
                 epoch = bus.fetch_epoch();
                 mode = self.priv_mode;
                 if va != e.va.wrapping_add(u64::from(e.ilen)) {
-                    // Control transfer (jump, taken branch, trap,
-                    // xret, hardware-loop back-edge). A transfer to the
-                    // block's own start is the fused self-loop: restart
-                    // in place, counting the exact chain follow the
-                    // dispatcher's `sb_follow` would have counted —
-                    // identical counters, none of the frame overhead.
-                    // Everything else exits to the chain at the new PC.
+                    // Control transfer (jump, taken branch, trap, xret).
+                    // A transfer to the block's own start is the fused
+                    // self-loop: restart in place, counting the exact
+                    // chain follow the dispatcher's `sb_follow` would have
+                    // counted — identical counters, none of the frame
+                    // overhead. Everything else exits to the chain at the
+                    // new PC.
                     if va == blk_start {
                         self.counters.sb_chain_follows += 1;
                         i = 0;
@@ -785,40 +799,6 @@ impl Core {
             if prefix_clean {
                 pcost += u64::from(e.cost);
                 ppaged += u64::from(e.paged);
-            }
-            // Hardware loops: the zero-cycle back-edge the interpreter
-            // applies on every non-control-transfer commit of an Xpulp
-            // core. A back-edge to the block's own start restarts the
-            // block without leaving this frame (the fused hot-loop form).
-            if self.xpulp {
-                let mut redirected = false;
-                for li in 0..2 {
-                    let l = &mut self.hwloops[li];
-                    if l.count > 0 && va == l.end {
-                        if l.count > 1 {
-                            l.count -= 1;
-                            va = l.start;
-                            self.counters.hwloop_iters += 1;
-                            redirected = true;
-                        } else {
-                            l.count = 0;
-                        }
-                        break;
-                    }
-                }
-                if redirected {
-                    // A back-edge restarts the walk: entries retired
-                    // after it are no longer a straight prefix from 0.
-                    prefix_clean = false;
-                    if cycles > limit {
-                        break SbExit::Limit;
-                    }
-                    if va == blk_start {
-                        i = 0;
-                        continue;
-                    }
-                    break SbExit::Next;
-                }
             }
             if cycles > limit {
                 break SbExit::Limit;
@@ -849,7 +829,8 @@ mod tests {
     /// Assembles `build`, runs it three ways — superblocks on, superblocks
     /// off (decode cache still on), and decode cache off entirely — and
     /// asserts bit-identical cycles, instret, registers and architectural
-    /// digest across all three. Returns the superblock run.
+    /// digest across all three, and every non-`sb_*` counter across the
+    /// first two. Returns the superblock run.
     fn assert_sb_neutral(xlen: Xlen, build: impl Fn(&mut Asm)) -> Core {
         let mut a = Asm::new(xlen);
         build(&mut a);
@@ -878,7 +859,11 @@ mod tests {
             }
         }
         // Superblock telemetry is zero-suppressed when the engine is off.
-        assert_eq!(run(true, false).stats().get("sb_hits"), 0);
+        let plain = run(true, false).stats();
+        assert_eq!(plain.get("sb_hits"), 0);
+        let fs = fast.stats();
+        let non_sb: Vec<_> = fs.iter().filter(|(k, _)| !k.starts_with("sb_")).collect();
+        assert_eq!(non_sb, plain.iter().collect::<Vec<_>>());
         fast
     }
 
@@ -907,24 +892,30 @@ mod tests {
     }
 
     #[test]
-    fn hw_loop_body_runs_as_fused_block() {
+    fn xpulp_core_runs_hw_loop_through_decode_cache_only() {
+        // A hardware-loop kernel with a post-increment load, a MAC and a
+        // decode-cache flush: on a RI5CY core, switching the engine on
+        // dispatches no block and counts no `sb_*` event, so the run
+        // equals the decode-cache-only one in every counter too.
         let fast = assert_sb_neutral(Xlen::Rv32, |a| {
+            a.li(Reg::A0, 0x4000);
+            a.fence_i();
             a.lp_counti(0, 40);
             let (s, e) = (a.label(), a.label());
             a.lp_starti(0, s);
             a.lp_endi(0, e);
             a.bind(s);
-            a.addi(Reg::T1, Reg::T1, 1);
+            a.p_lw_post(Reg::T1, Reg::A0, 4);
             a.xor(Reg::A2, Reg::A2, Reg::T1);
             a.p_mac(Reg::A4, Reg::A5, Reg::A6);
             a.bind(e);
         });
         let s = fast.stats();
         assert_eq!(s.get("hwloop_iters"), 39);
-        // The fused form restarts the body inside one dispatch: the whole
-        // loop needs neither per-iteration dispatches nor chain follows.
-        assert!(s.get("sb_hits") <= 3, "fused hw-loop should dispatch once");
-        assert!(s.get("sb_instrs_retired") >= 3 * 39);
+        assert_eq!(s.get("decode_invalidations"), 1);
+        assert!(s.get("decode_hits") >= 3 * 39, "the loop replays decoded");
+        assert!(s.iter().all(|(k, _)| !k.starts_with("sb_")), "{s:?}");
+        assert!(fast.sb.map.is_empty(), "Xpulp core allocated a block store");
     }
 
     #[test]

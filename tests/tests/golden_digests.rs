@@ -1,4 +1,5 @@
-//! Golden bit-identity check of the CVA6 memory path.
+//! Golden bit-identity check of the CVA6 memory path and the PMCA team
+//! path.
 //!
 //! Every run below starts from a fresh default SoC and pins what a guest,
 //! a debugger or a metrics consumer can observe afterwards: cycles,
@@ -10,6 +11,7 @@
 //! table only for a change that is meant to alter simulated behaviour.
 
 use hulkv::{map, HulkV, SocConfig};
+use hulkv_kernels::dnn_exec::run_tiled_conv;
 use hulkv_kernels::suite::{Kernel, KernelParams};
 use hulkv_kernels::synthetic::sweep_program;
 use hulkv_rv::Reg;
@@ -82,32 +84,53 @@ fn traced_host_kernel() -> (Golden, u64) {
     )
 }
 
-fn cluster_kernel() -> Golden {
+fn cluster_kernel(k: Kernel) -> Golden {
     let mut soc = fresh();
-    let run = Kernel::MatMulI8
+    let run = k
         .run_on_cluster(&mut soc, &KernelParams::small(), 8)
         .unwrap();
-    assert!(run.verified, "cluster result");
+    assert!(run.verified, "{} cluster result", k.name());
     let instret = run.offload.team.per_core_instret.iter().sum();
     observe(&soc, run.offload.total_soc_cycles.get(), instret)
+}
+
+/// The 16-tile DMA-fed conv layer on 8 cores: one offload per tile.
+fn cluster_tiled_conv() -> Golden {
+    let mut soc = fresh();
+    let run = run_tiled_conv(&mut soc, 258, 130, 16, 8).unwrap();
+    assert!(run.verified, "tiled conv result");
+    observe(
+        &soc,
+        run.serial_cycles.get(),
+        soc.cluster().stats().get("instret"),
+    )
 }
 
 /// `(run, cycles, instret, state_digest, metrics_hash, snapshot_hash)`,
 /// one row per line as `check` prints them.
 #[rustfmt::skip]
-const GOLDEN: [(&str, u64, u64, u64, u64, u64); 12] = [
-    ("matmul-int8", 2950101, 2150659, 0x8ed8e7ffdc39652b, 0xa54540dcb2d1bc67, 0xcc9a72f87cf99814),
-    ("matmul-int32", 2960597, 2158851, 0x501d58d49c290a85, 0xd8dd42918f5d9a44, 0x541a241b541daf65),
-    ("conv2d-int8", 54530, 41102, 0xb921a8ceb0ac532a, 0x467868968ac6d3f5, 0xb8f6a2992be69de2),
-    ("fir-int16", 190683, 142339, 0x062b0e93dc30efdc, 0x34faeff9feb739c6, 0x47748c244a117430),
-    ("relu-int8", 86814, 69618, 0x9e6ebbd41e122b4d, 0x90df6efa93397a47, 0xe1099eb24568d61e),
-    ("maxpool-int8", 29074, 20714, 0x38613ef6eb07b271, 0xf73a561fdfe24dd6, 0xfca7456458389f89),
-    ("matmul-fp16", 3222741, 1896707, 0xfb8f670c12ee15ef, 0xeb19fc56836bcbd6, 0x435b4c512b5d5810),
-    ("dotp-fp32", 26129, 16391, 0x4f144f8793351f12, 0x459478b550e2f4d9, 0x86f7638fad752786),
-    ("axpy-fp32", 28176, 18438, 0xadb191f3bf51467c, 0xe5699eaec4c8e4e9, 0x9a0822878e234adb),
-    ("sweep-48x200", 2077871, 71407, 0x2c2c635fdd75c86f, 0x479b0b68478b1233, 0x08b4f8918bd00316),
-    ("traced-maxpool-int8", 29074, 20714, 0x38613ef6eb07b271, 0xc72e53f1979e1de0, 0xbba93698e7ffda99),
-    ("cluster-matmul-int8", 28851, 171416, 0x22b0923e29b358c2, 0xb4fd03a555e44b0e, 0x8147df4bb1f31a61),
+const GOLDEN: [(&str, u64, u64, u64, u64, u64); 21] = [
+    ("matmul-int8", 2950101, 2150659, 0x8ed8e7ffdc39652b, 0xa54540dcb2d1bc67, 0x7a3fe33a71a2c192),
+    ("matmul-int32", 2960597, 2158851, 0x501d58d49c290a85, 0xd8dd42918f5d9a44, 0x1e74345b4bc8bafb),
+    ("conv2d-int8", 54530, 41102, 0xb921a8ceb0ac532a, 0x467868968ac6d3f5, 0x1b9b2f520bdd93c0),
+    ("fir-int16", 190683, 142339, 0x062b0e93dc30efdc, 0x34faeff9feb739c6, 0x9c0a77a0e15af23a),
+    ("relu-int8", 86814, 69618, 0x9e6ebbd41e122b4d, 0x90df6efa93397a47, 0x5ad8ebbeab589428),
+    ("maxpool-int8", 29074, 20714, 0x38613ef6eb07b271, 0xf73a561fdfe24dd6, 0x0fb123c434b6a1b3),
+    ("matmul-fp16", 3222741, 1896707, 0xfb8f670c12ee15ef, 0xeb19fc56836bcbd6, 0x2ce73ac7b9787c16),
+    ("dotp-fp32", 26129, 16391, 0x4f144f8793351f12, 0x459478b550e2f4d9, 0xe2ca7b91ae2adfc0),
+    ("axpy-fp32", 28176, 18438, 0xadb191f3bf51467c, 0xe5699eaec4c8e4e9, 0x8b0efbe6f3b3966d),
+    ("sweep-48x200", 2077871, 71407, 0x2c2c635fdd75c86f, 0x479b0b68478b1233, 0xd581847cba2e56e4),
+    ("traced-maxpool-int8", 29074, 20714, 0x38613ef6eb07b271, 0xc72e53f1979e1de0, 0x687fbd184052b853),
+    ("cluster-matmul-int8", 28851, 171416, 0x22b0923e29b358c2, 0xb4fd03a555e44b0e, 0xa994f5b3606a083d),
+    ("cluster-matmul-int32", 138425, 848344, 0x1fee3f24e23d3f23, 0x44618ee6a57a50c7, 0x7c9ce3cc8a67ac56),
+    ("cluster-conv2d-int8", 6954, 31984, 0xf78a8e210c6e2709, 0x8bc6e9cdae466c74, 0x1c6a253e7606cc82),
+    ("cluster-fir-int16", 7700, 37912, 0xbfd3ef9eb1499e2e, 0x1ecd0015cf24fee5, 0xe68ddb6041dfc830),
+    ("cluster-relu-int8", 4355, 16432, 0x2284009ac64e6248, 0xc1803ecf07d6ab92, 0xf8ad0f6f79a09ce1),
+    ("cluster-maxpool-int8", 2787, 6024, 0xa0c21494fde0c1e0, 0x6b16e424b7f9ea49, 0x842124a167ad2415),
+    ("cluster-matmul-fp16", 75065, 455128, 0xc9854b8ed7edb84d, 0x4047f180b03e8d6d, 0x588d9c1c5f48a61e),
+    ("cluster-dotp-fp32", 3273, 10352, 0x80b246fe1fc39ea4, 0x23c77e8d7165f1da, 0xb93600d17415671c),
+    ("cluster-axpy-fp32", 3612, 12376, 0x8534183bf8e77412, 0x33d73220e013a6db, 0xcbfe592e39e4d11b),
+    ("cluster-tiled-conv-258x130", 390578, 1018624, 0x98ece640cf1a4d0a, 0x3af966041399e2c8, 0x43d1c979895b1048),
 ];
 
 /// FNV-1a of the traced run's JSONL trace export.
@@ -166,7 +189,19 @@ fn traced_host_kernel_matches_golden() {
     assert_eq!(events, TRACED_EVENTS_HASH, "trace events moved");
 }
 
+/// Every cluster kernel and the tiled conv layer: the whole
+/// `pmca_offload` pass.
 #[test]
 fn cluster_offload_matches_golden() {
-    check(&[("cluster-matmul-int8", cluster_kernel())]);
+    let names: Vec<_> = Kernel::ALL
+        .iter()
+        .map(|k| format!("cluster-{}", k.name()))
+        .collect();
+    let mut runs: Vec<_> = Kernel::ALL
+        .iter()
+        .zip(&names)
+        .map(|(&k, name)| (name.as_str(), cluster_kernel(k)))
+        .collect();
+    runs.push(("cluster-tiled-conv-258x130", cluster_tiled_conv()));
+    check(&runs);
 }

@@ -8,7 +8,7 @@ use hulkv_host::{Clint, Plic};
 use hulkv_mem::{shared, Sram};
 use hulkv_rv::csr::addr;
 use hulkv_rv::{Asm, Core, FlatBus, Reg, Xlen};
-use hulkv_sim::{Cycles, Snapshot};
+use hulkv_sim::{Cycles, Json, Snapshot};
 
 /// Every interrupt-fabric block must contribute to the digest: mutating
 /// any one of CLINT, PLIC, mailbox or IOPMP state flips it.
@@ -108,6 +108,55 @@ fn snapshot_round_trip_is_byte_identical() {
         bytes,
         "restore -> snapshot round trip altered state"
     );
+}
+
+/// `config`, a `SocConfig::to_json` document, as written while
+/// `ClusterConfig` still had a `superblocks` field, with that key set to
+/// `value`.
+fn with_cluster_superblocks(mut config: Json, value: Json) -> Json {
+    let Json::Obj(top) = &mut config else {
+        panic!("config is an object")
+    };
+    let Some(Json::Obj(cluster)) = top.get_mut("cluster") else {
+        panic!("config has a cluster object")
+    };
+    assert!(cluster.insert("superblocks".into(), value).is_none());
+    config
+}
+
+/// The retired key still loads: type-checked as a bool, then ignored.
+#[test]
+fn retired_cluster_superblocks_key_is_checked_then_ignored() {
+    let cfg = SocConfig::default();
+    for b in [true, false] {
+        let old = with_cluster_superblocks(cfg.to_json(), Json::Bool(b));
+        assert_eq!(SocConfig::from_json(&old), Ok(cfg.clone()));
+    }
+    let bad = with_cluster_superblocks(cfg.to_json(), Json::Str("0x1".into()));
+    let err = SocConfig::from_json(&bad).expect_err("a non-bool must not load");
+    assert!(err.to_string().contains("superblocks"), "{err}");
+    assert_eq!(SocConfig::from_json(&cfg.to_json()), Ok(cfg));
+}
+
+/// A snapshot whose config carries the retired key restores to the same
+/// machine, and re-snapshots without the key.
+#[test]
+fn snapshot_with_retired_cluster_superblocks_key_restores() {
+    let mut soc = HulkV::new(SocConfig::default()).unwrap();
+    soc.run_host_program(&counting_program(), |_| {}, 1_000_000)
+        .unwrap();
+    let current = soc.snapshot();
+    for old in [true, false] {
+        let mut snap = current.clone();
+        let config = snap.section("config").unwrap().clone();
+        snap.set_section("config", with_cluster_superblocks(config, Json::Bool(old)));
+
+        let parsed = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+        let restored = HulkV::from_snapshot(&parsed).unwrap();
+        assert_eq!(restored.config(), &SocConfig::default());
+        assert_eq!(restored.state_digest(), soc.state_digest());
+        assert_eq!(restored.snapshot().to_bytes(), current.to_bytes());
+    }
 }
 
 /// Checkpoint taken while a timer interrupt is in flight (mtimecmp

@@ -21,17 +21,17 @@
 //! `--trace-out` (with `--confirm`) accumulates every confirmation run
 //! onto one tracer and writes the combined Chrome trace.
 //! `--serve-metrics ADDR` starts the live telemetry endpoint
-//! (`/metrics`, `/snapshot`, `/timeline`) for the duration of the
-//! campaign; the lint counters (programs analyzed, findings,
-//! confirmation outcomes) update live while `--confirm` replays
-//! programs on the SoC, and the final `MetricsSnapshot` is published
-//! on the bus before exit.
+//! (`/metrics`, `/snapshot`) for the duration of the campaign; the lint
+//! counters (programs analyzed, findings, confirmation outcomes) update
+//! live while `--confirm` replays programs on the SoC, and the final
+//! `MetricsSnapshot` is published on the bus before exit. The sink flags
+//! also take the `--flag=value` spelling.
 
 use hulkv_analyze::{
     analyze, dynamic, AnalyzeConfig, Baseline, CheckKind, GuestProgram, Report, Side,
 };
-use hulkv_obs::TelemetryBus;
-use hulkv_sim::{category, Json, MetricsSnapshot, Stats, Tracer};
+use hulkv_obs::{ObsArgs, Sink};
+use hulkv_sim::{Json, MetricsSnapshot, Stats};
 use std::process::ExitCode;
 
 struct Cli {
@@ -42,12 +42,14 @@ struct Cli {
     filter: Option<CheckKind>,
     baseline: String,
     repro_dir: String,
-    metrics_out: Option<String>,
-    trace_out: Option<String>,
-    serve_metrics: Option<String>,
+    obs: ObsArgs,
 }
 
 fn parse_cli() -> Result<Cli, String> {
+    let (obs, rest) = ObsArgs::parse(
+        std::env::args().skip(1),
+        &[Sink::Metrics, Sink::Trace, Sink::Serve],
+    )?;
     let mut cli = Cli {
         ci: false,
         json: false,
@@ -56,11 +58,9 @@ fn parse_cli() -> Result<Cli, String> {
         filter: None,
         baseline: concat!(env!("CARGO_MANIFEST_DIR"), "/lint_baseline.json").to_string(),
         repro_dir: concat!(env!("CARGO_MANIFEST_DIR"), "/../../fuzz/repros").to_string(),
-        metrics_out: None,
-        trace_out: None,
-        serve_metrics: None,
+        obs,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = rest.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--ci" => cli.ci = true,
@@ -82,15 +82,6 @@ fn parse_cli() -> Result<Cli, String> {
             }
             "--baseline" => cli.baseline = args.next().ok_or("--baseline needs a value")?,
             "--repro-dir" => cli.repro_dir = args.next().ok_or("--repro-dir needs a value")?,
-            "--metrics-out" => {
-                cli.metrics_out = Some(args.next().ok_or("--metrics-out needs a value")?);
-            }
-            "--trace-out" => {
-                cli.trace_out = Some(args.next().ok_or("--trace-out needs a value")?);
-            }
-            "--serve-metrics" => {
-                cli.serve_metrics = Some(args.next().ok_or("--serve-metrics needs an address")?);
-            }
             other => {
                 return Err(format!(
                     "unknown argument {other}\nusage: hulkv-lint [--ci] [--json] \
@@ -224,15 +215,14 @@ fn main() -> ExitCode {
         }
     };
 
-    let bus = TelemetryBus::new();
-    let server = cli.serve_metrics.as_deref().map(|addr| {
-        let s = bus
-            .serve(addr)
-            .unwrap_or_else(|e| panic!("--serve-metrics: {e}"));
-        println!("serving metrics on {}", s.addr());
-        s
-    });
-    let reg = bus.registry().clone();
+    let obs = match cli.obs.start() {
+        Ok(obs) => obs,
+        Err(msg) => {
+            eprintln!("hulkv-lint: {msg}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let reg = obs.bus().registry().clone();
     let m_programs = reg.counter("hulkv_lint_programs_total", "Guest programs analyzed", &[]);
     let m_findings = reg.counter("hulkv_lint_findings_total", "Static findings raised", &[]);
     let m_confirm = ["confirmed", "unconfirmed", "unchecked"].map(|outcome| {
@@ -243,13 +233,6 @@ fn main() -> ExitCode {
         )
     });
 
-    let campaign_tracer = cli.trace_out.as_ref().map(|_| {
-        let t = Tracer::shared(1 << 18);
-        // PROTECT is what confirmation matches against; the rest makes
-        // the exported trace useful on its own.
-        t.borrow_mut().enable(category::ALL);
-        t
-    });
     let inputs = catalog(&cli.repro_dir);
     let mut reports: Vec<Report> = Vec::new();
     let mut confirm_lines: Vec<String> = Vec::new();
@@ -264,7 +247,10 @@ fn main() -> ExitCode {
                 .iter()
                 .any(|f| f.kind.trace_category().is_some())
         {
-            let outcome = match &campaign_tracer {
+            // Confirmation matches PROTECT events; the rest of the
+            // --trace-out tracer's categories make the trace useful on its
+            // own.
+            let outcome = match obs.tracer() {
                 Some(t) => dynamic::confirm_with_tracer(prog, &report, 10_000_000, t),
                 None => dynamic::confirm(prog, &report, 10_000_000),
             };
@@ -368,29 +354,9 @@ fn main() -> ExitCode {
         s.add("unchecked", confirm_counts.2);
     }
     snap.push_block(s);
-    bus.publish_snapshot(&snap);
-    if let Some(path) = &cli.metrics_out {
-        if let Err(e) = std::fs::write(path, format!("{}\n", snap.to_json())) {
-            eprintln!("hulkv-lint: cannot write metrics to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("hulkv-lint: metrics written to {path}");
-    }
-    if let (Some(path), Some(t)) = (&cli.trace_out, &campaign_tracer) {
-        let t = t.borrow();
-        if let Err(e) = std::fs::write(path, format!("{}\n", t.chrome_trace())) {
-            eprintln!("hulkv-lint: cannot write trace to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "hulkv-lint: trace written to {path} ({} events{})",
-            t.len(),
-            if t.dropped() > 0 {
-                format!(", {} dropped", t.dropped())
-            } else {
-                String::new()
-            }
-        );
+    if let Err(msg) = obs.finish(&snap, &[]) {
+        eprintln!("hulkv-lint: {msg}");
+        return ExitCode::FAILURE;
     }
 
     if cli.ci {
@@ -448,9 +414,6 @@ fn main() -> ExitCode {
             "hulkv-lint: CI clean against baseline ({} accepted budgets)",
             baseline.len()
         );
-    }
-    if let Some(s) = server {
-        s.shutdown();
     }
     ExitCode::SUCCESS
 }

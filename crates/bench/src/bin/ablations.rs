@@ -4,6 +4,7 @@ use hulkv_bench::ablations;
 use hulkv_kernels::suite::KernelParams;
 
 fn main() {
+    let obs = hulkv_bench::obs::args();
     println!("Ablation A: LLC capacity (synthetic benchmark, 37% miss knob)");
     println!("{:>10} {:>14}", "LLC (kB)", "cycles/read");
     for p in ablations::llc_size_sweep().expect("llc sweep") {
@@ -35,5 +36,5 @@ fn main() {
     for p in ablations::offload_amortization(&KernelParams::small()).expect("amortization") {
         println!("{:>8} {:>18.0}", p.times, p.soc_cycles_per_run);
     }
-    hulkv_bench::obs::finish(&[]);
+    hulkv_bench::obs::finish(&obs, &[]);
 }

@@ -4,6 +4,7 @@ use hulkv_bench::fig6;
 use hulkv_kernels::suite::KernelParams;
 
 fn main() {
+    let obs = hulkv_bench::obs::args();
     let rows = fig6::speedup_table(&KernelParams::small()).expect("figure 6");
     println!("Figure 6 (right): Energy efficiency at max block frequency (Table II powers)");
     println!(
@@ -25,5 +26,5 @@ fn main() {
         .iter()
         .map(|r| r.cluster_gops_per_w)
         .fold(0.0, f64::max);
-    hulkv_bench::obs::finish(&[("fig6_max_cluster_gops_per_w", best)]);
+    hulkv_bench::obs::finish(&obs, &[("fig6_max_cluster_gops_per_w", best)]);
 }

@@ -4,6 +4,7 @@ use hulkv_bench::fig6;
 use hulkv_kernels::suite::KernelParams;
 
 fn main() {
+    let obs = hulkv_bench::obs::args();
     let rows = fig6::speedup_table(&KernelParams::small()).expect("figure 6");
     println!("Figure 6 (left): Speedup on PMCA vs CVA6 (wall-clock, ASIC frequencies)");
     println!(
@@ -23,5 +24,5 @@ fn main() {
         );
     }
     let best = rows.iter().map(|r| r.speedup_x1000).fold(0.0, f64::max);
-    hulkv_bench::obs::finish(&[("fig6_max_speedup_x1000", best)]);
+    hulkv_bench::obs::finish(&obs, &[("fig6_max_speedup_x1000", best)]);
 }

@@ -4,6 +4,7 @@ use hulkv::MemorySetup;
 use hulkv_bench::fig7;
 
 fn main() {
+    let obs = hulkv_bench::obs::args();
     let points = fig7::llc_sweep(64).expect("figure 7");
     println!("Figure 7: Sweep on Last Level Cache (cycles per read vs L1D miss ratio)");
     println!(
@@ -23,5 +24,5 @@ fn main() {
             by(MemorySetup::HyperOnly).cycles_per_read,
         );
     }
-    hulkv_bench::obs::finish(&[]);
+    hulkv_bench::obs::finish(&obs, &[]);
 }

@@ -4,6 +4,7 @@ use hulkv_bench::fig8;
 use hulkv_kernels::iot::Scale;
 
 fn main() {
+    let obs = hulkv_bench::obs::args();
     let rows = fig8::llc_effect(Scale(1)).expect("figure 8");
     println!("Figure 8: Last Level Cache effect (cycles, normalized to DDR4+LLC)");
     println!(
@@ -22,5 +23,5 @@ fn main() {
             r.runs.iter().all(|x| x.verified)
         );
     }
-    hulkv_bench::obs::finish(&[]);
+    hulkv_bench::obs::finish(&obs, &[]);
 }

@@ -4,6 +4,7 @@ use hulkv_bench::fig9;
 use hulkv_kernels::suite::KernelParams;
 
 fn main() {
+    let obs = hulkv_bench::obs::args();
     let mut rows = fig9::ccr_table(&KernelParams::small()).expect("figure 9");
     rows.sort_by(|a, b| a.ccr_hyper.total_cmp(&b.ccr_hyper));
     println!("Figure 9: HULK-V energy efficiency vs CCR_hyper");
@@ -24,5 +25,5 @@ fn main() {
             r.relative_efficiency
         );
     }
-    hulkv_bench::obs::finish(&[]);
+    hulkv_bench::obs::finish(&obs, &[]);
 }

@@ -1,21 +1,14 @@
 //! Runs every experiment and prints the full paper-reproduction report.
+//! Stops with status 1 at the first experiment that fails.
 
-fn run(name: &str) {
-    println!("\n=== {name} ===\n");
-}
+use std::process::{exit, Command};
 
 fn main() {
-    run("Table I");
-    std::process::Command::new(
-        std::env::current_exe()
-            .unwrap()
-            .parent()
-            .unwrap()
-            .join("table1"),
-    )
-    .status()
-    .ok();
+    let obs = hulkv_bench::obs::args();
+    let exe = std::env::current_exe().expect("path of the running binary");
+    let dir = exe.parent().expect("binary directory");
     for bin in [
+        "table1",
         "table2",
         "fig6_speedup",
         "fig6_efficiency",
@@ -24,10 +17,19 @@ fn main() {
         "fig9_ccr",
         "ablations",
     ] {
-        run(bin);
-        std::process::Command::new(std::env::current_exe().unwrap().parent().unwrap().join(bin))
-            .status()
-            .ok();
+        let title = if bin == "table1" { "Table I" } else { bin };
+        println!("\n=== {title} ===\n");
+        match Command::new(dir.join(bin)).status() {
+            Ok(status) if status.success() => {}
+            Ok(status) => {
+                eprintln!("report: {bin} failed ({status})");
+                exit(1);
+            }
+            Err(e) => {
+                eprintln!("report: cannot run {bin}: {e}");
+                exit(1);
+            }
+        }
     }
-    hulkv_bench::obs::finish(&[]);
+    hulkv_bench::obs::finish(&obs, &[]);
 }

@@ -4,6 +4,7 @@ use hulkv::SocConfig;
 use hulkv_bench::table1;
 
 fn main() {
+    let obs = hulkv_bench::obs::args();
     println!("Table I: Comparison with State-of-Art");
     println!(
         "{:<18} {:<11} {:<28} {:<10} {:<26} {:<12}",
@@ -15,5 +16,5 @@ fn main() {
             r.platform, r.os, r.memory, r.asic_fpga, r.host_cpu, r.accelerators
         );
     }
-    hulkv_bench::obs::finish(&[]);
+    hulkv_bench::obs::finish(&obs, &[]);
 }

@@ -3,6 +3,7 @@
 use hulkv_bench::table2;
 
 fn main() {
+    let obs = hulkv_bench::obs::args();
     println!("Table II: Power consumption at 25C, 0.8V, TT");
     println!(
         "{:<10} {:>10} {:>12} {:>16} {:>12} {:>14}",
@@ -24,5 +25,5 @@ fn main() {
         "-",
         total.max_power_mw
     );
-    hulkv_bench::obs::finish(&[("table2_total_max_power_mw", total.max_power_mw)]);
+    hulkv_bench::obs::finish(&obs, &[("table2_total_max_power_mw", total.max_power_mw)]);
 }

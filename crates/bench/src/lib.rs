@@ -1,9 +1,10 @@
 //! Benchmark harnesses regenerating every table and figure of the HULK-V
 //! paper.
 //!
-//! Each module computes one experiment's data; the `src/bin` binaries
-//! print them as tables, and the Criterion benches in `benches/` time the
-//! underlying simulations. The mapping to the paper:
+//! Each module computes one experiment's data, and the `src/bin` binaries
+//! print them as tables ([`obs`] adds their sink flags). The simulator's
+//! own speed is measured by the separate `bench/` package at the
+//! repository root. The mapping to the paper:
 //!
 //! | module | regenerates |
 //! |---|---|

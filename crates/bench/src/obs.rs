@@ -1,6 +1,9 @@
-//! Shared observability plumbing for the bench binaries.
+//! Shared observability plumbing for the figure binaries.
 //!
-//! Every binary in `src/bin` accepts two optional flags:
+//! Every binary in `src/bin` accepts these sink flags of
+//! [`hulkv_obs::ObsArgs`] (also in the `--flag=value` spelling) and no
+//! other argument; a bad one prints a usage error and exits with
+//! status 2:
 //!
 //! * `--metrics-out <path>` — writes a [`MetricsSnapshot`] JSON document
 //!   with the activity counters of every SoC block plus the per-block
@@ -16,85 +19,70 @@
 //!   counter tracks in the trace; with `--metrics-out` the integrated
 //!   energy totals land in the snapshot's `energy` section.
 //!
-//! Both flags run the same instrumented reference workload — an int8
+//! All three run the same instrumented reference workload — an int8
 //! matrix multiplication executed first on the CVA6 host and then
 //! offloaded to the 8-core PMCA — on a freshly built flagship SoC, so the
 //! exported documents are comparable across binaries and runs. A hot-spot
 //! profile of the host-side run is printed alongside.
+//!
+//! [`MetricsSnapshot`]: hulkv_sim::MetricsSnapshot
 
 use hulkv::{HulkV, SocConfig};
 use hulkv_kernels::suite::{Kernel, KernelParams};
+use hulkv_obs::{ObsArgs, Sink};
 use hulkv_power::{EnergySummary, PowerModel};
 use hulkv_rv::{hotspot_report, Xlen};
-use hulkv_sim::{category, Timeline, Tracer};
+use hulkv_sim::Timeline;
 
-/// Parsed observability flags.
-#[derive(Debug, Default, Clone)]
-pub struct ObsArgs {
-    /// Destination for the metrics JSON document, if requested.
-    pub metrics_out: Option<String>,
-    /// Destination for the Chrome-trace JSON file, if requested.
-    pub trace_out: Option<String>,
-    /// Destination for the telemetry timeline (CSV or JSONL), if
-    /// requested.
-    pub timeline_out: Option<String>,
-    /// Sampling period in SoC-interconnect cycles (default 1000).
-    pub timeline_period: Option<u64>,
+const USAGE: &str =
+    "usage: [--metrics-out PATH] [--trace-out PATH] [--timeline-out PATH] [--timeline-period CYCLES]";
+
+/// Parses the figure binaries' sink flags out of `args`; any other
+/// argument is an error.
+///
+/// # Errors
+///
+/// Everything [`ObsArgs::parse`] rejects, and an unknown argument.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<ObsArgs, String> {
+    let (obs, rest) = ObsArgs::parse(args, &[Sink::Metrics, Sink::Trace, Sink::Timeline])?;
+    match rest.first() {
+        Some(arg) => Err(format!("unknown argument {arg}")),
+        None => Ok(obs),
+    }
 }
 
-impl ObsArgs {
-    /// Parses `--metrics-out <path>` / `--trace-out <path>` (also the
-    /// `--flag=path` spelling) from the process arguments. Unknown
-    /// arguments are ignored — the binaries have no other flags.
-    pub fn from_env() -> Self {
-        let mut out = ObsArgs::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            let mut bind = |slot: &mut Option<String>, flag: &str| {
-                if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-                    *slot = Some(v.to_owned());
-                } else if arg == flag {
-                    *slot = args.next();
-                }
-            };
-            bind(&mut out.metrics_out, "--metrics-out");
-            bind(&mut out.trace_out, "--trace-out");
-            bind(&mut out.timeline_out, "--timeline-out");
-            let mut period = None;
-            bind(&mut period, "--timeline-period");
-            if let Some(p) = period {
-                out.timeline_period = p.parse().ok();
-            }
-        }
-        out
-    }
-
-    /// Whether any output was requested.
-    pub fn active(&self) -> bool {
-        self.metrics_out.is_some() || self.trace_out.is_some() || self.timeline_out.is_some()
-    }
+/// The process's sink flags; on a bad one, prints the error and the
+/// usage and exits with status 2.
+pub fn args() -> ObsArgs {
+    parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(2)
+    })
 }
 
 /// Runs the instrumented reference workload and writes the requested
 /// documents. `figures` lets a binary attach its headline numbers to the
 /// metrics snapshot (they land under the `figures` key).
 ///
+/// # Errors
+///
+/// Fails naming the path if an output file cannot be written.
+///
 /// # Panics
 ///
-/// Panics if the workload fails or an output file cannot be written —
-/// appropriate for a benchmark binary's top level.
-pub fn emit(args: &ObsArgs, figures: &[(&str, f64)]) {
-    if !args.active() {
-        return;
+/// Panics if the reference workload fails.
+pub fn emit(args: &ObsArgs, figures: &[(&str, f64)]) -> Result<(), String> {
+    if args.metrics_out.is_none() && args.trace_out.is_none() && args.timeline_out.is_none() {
+        return Ok(());
     }
-
+    let obs = args.clone().start()?;
     let mut soc = HulkV::new(SocConfig::default()).expect("default SoC");
-    let tracer = Tracer::shared(1 << 18);
-    tracer.borrow_mut().enable(category::ALL);
-    soc.attach_tracer(tracer.clone());
+    // Traced with or without --trace-out, so the exported counters are
+    // the same either way.
+    soc.attach_tracer(obs.tracer().cloned().unwrap_or_else(hulkv_obs::tracer));
     soc.host_mut().core_mut().enable_profile();
     if args.timeline_out.is_some() {
-        soc.enable_timeline(args.timeline_period.unwrap_or(1000));
+        soc.enable_timeline(args.timeline_period.map_or(1000, |p| p.get()));
     }
 
     let params = KernelParams::tiny();
@@ -115,31 +103,24 @@ pub fn emit(args: &ObsArgs, figures: &[(&str, f64)]) {
         s
     });
 
-    if let Some(path) = &args.metrics_out {
-        let mut snap = soc.metrics_snapshot();
-        for block in power.blocks() {
-            snap.set_power_mw(block.name, block.max_power_mw());
-        }
-        if let Some(s) = &summary {
-            s.apply_to(&mut snap);
-        }
-        for &(name, value) in figures {
-            snap.set_figure(name, value);
-        }
-        std::fs::write(path, format!("{}\n", snap.to_json()))
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("metrics written to {path}");
+    let mut snap = soc.metrics_snapshot();
+    for block in power.blocks() {
+        snap.set_power_mw(block.name, block.max_power_mw());
+    }
+    if let Some(s) = &summary {
+        s.apply_to(&mut snap);
+    }
+    for &(name, value) in figures {
+        snap.set_figure(name, value);
     }
 
-    if let Some(path) = &args.timeline_out {
-        let tl = timeline.as_ref().expect("timeline was enabled");
+    if let (Some(path), Some(tl), Some(s)) = (&args.timeline_out, &timeline, &summary) {
         let body = if path.ends_with(".csv") {
             tl.to_csv()
         } else {
             tl.to_jsonl()
         };
-        std::fs::write(path, body).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        let s = summary.as_ref().expect("summary computed with timeline");
+        hulkv_obs::write_file(path, body)?;
         println!(
             "timeline written to {path} ({} windows, {:.3} mJ over {} soc cycles, peak {:.1} mW)",
             tl.len(),
@@ -148,36 +129,27 @@ pub fn emit(args: &ObsArgs, figures: &[(&str, f64)]) {
             s.peak_power_mw
         );
     }
-
-    if let Some(path) = &args.trace_out {
-        let t = tracer.borrow();
-        let counters = timeline
-            .as_ref()
-            .map(Timeline::chrome_counter_events)
-            .unwrap_or_default();
-        std::fs::write(path, format!("{}\n", t.chrome_trace_with(&counters)))
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!(
-            "trace written to {path} ({} events{}) — load it in Perfetto",
-            t.len(),
-            if t.dropped() > 0 {
-                format!(", {} dropped", t.dropped())
-            } else {
-                String::new()
-            }
-        );
-    }
+    let counters = timeline
+        .as_ref()
+        .map(Timeline::chrome_counter_events)
+        .unwrap_or_default();
+    obs.finish(&snap, &counters)?;
 
     if let Some(profile) = soc.host_mut().core_mut().take_profile() {
         println!();
         println!("{}", hotspot_report(&profile, Xlen::Rv64, false, 5));
     }
+    Ok(())
 }
 
-/// One-call wrapper for binary `main`s: parse the flags, and if any output
-/// was requested, run the instrumented workload and write it.
-pub fn finish(figures: &[(&str, f64)]) {
-    emit(&ObsArgs::from_env(), figures);
+/// The end of every figure binary's `main`: writes the documents `args`
+/// asked for; if one cannot be written, prints why and exits with
+/// status 1.
+pub fn finish(args: &ObsArgs, figures: &[(&str, f64)]) {
+    if let Err(e) = emit(args, figures) {
+        eprintln!("{e}");
+        std::process::exit(1);
+    }
 }
 
 /// Sanity-checks an enriched timeline before it is exported: windows must
@@ -214,9 +186,21 @@ mod tests {
 
     #[test]
     fn inactive_args_are_a_no_op() {
-        let args = ObsArgs::default();
-        assert!(!args.active());
-        emit(&args, &[]); // must not build a SoC or write anything
+        // Must not build a SoC or write anything.
+        emit(&ObsArgs::default(), &[]).unwrap();
+    }
+
+    #[test]
+    fn figure_bins_take_only_file_sinks() {
+        let parse = |a: &[&str]| parse_args(a.iter().map(|s| s.to_string()));
+        assert_eq!(parse(&["--bogus"]).unwrap_err(), "unknown argument --bogus");
+        assert_eq!(
+            parse(&["--serve-metrics", "127.0.0.1:0"]).unwrap_err(),
+            "unknown argument --serve-metrics"
+        );
+        let args = parse(&["--timeline-out=t.csv", "--timeline-period", "500"]).unwrap();
+        assert_eq!(args.timeline_out.as_deref(), Some("t.csv"));
+        assert_eq!(args.timeline_period.map(|p| p.get()), Some(500));
     }
 
     #[test]
@@ -229,7 +213,7 @@ mod tests {
             trace_out: Some(trace.to_string_lossy().into_owned()),
             ..ObsArgs::default()
         };
-        emit(&args, &[("answer", 42.0)]);
+        emit(&args, &[("answer", 42.0)]).unwrap();
 
         let m = std::fs::read_to_string(&metrics).unwrap();
         let snap = hulkv_sim::MetricsSnapshot::parse(&m).unwrap();
@@ -263,11 +247,12 @@ mod tests {
             metrics_out: Some(metrics.to_string_lossy().into_owned()),
             trace_out: Some(trace.to_string_lossy().into_owned()),
             timeline_out: Some(timeline.to_string_lossy().into_owned()),
-            timeline_period: Some(500),
+            timeline_period: std::num::NonZeroU64::new(500),
+            serve_metrics: None,
         };
         // emit() runs verify_timeline internally: contiguity, monotonicity
         // and the 1 % energy identity are all asserted on this path.
-        emit(&args, &[]);
+        emit(&args, &[]).unwrap();
 
         let csv = std::fs::read_to_string(&timeline).unwrap();
         let mut lines = csv.lines();

@@ -60,7 +60,4 @@ pub use record::{
     apply_command, Checkpoint, Command, RecordError, Recorder, Recording, RECORDING_FORMAT,
     RECORDING_MAGIC,
 };
-pub use soc::{
-    default_iopmp_windows, host_regions, map, HulkV, KernelId, OffloadResult, SocError,
-    WindowSinkFn,
-};
+pub use soc::{default_iopmp_windows, host_regions, map, HulkV, KernelId, OffloadResult, SocError};

@@ -9,7 +9,7 @@ use hulkv_mem::{Bus, Ddr, DmaEngine, HyperRam, Llc, SharedMem, Sram, Transfer1d}
 use hulkv_rv::{Core, Reg, RvError};
 use hulkv_sim::{
     convert_freq, Cycles, Json, MetricsSnapshot, SharedTracer, SimError, SnapResult, Snapshot,
-    Stats, Timeline, TimelineWindow, TraceEvent, Track,
+    Stats, Timeline, TraceEvent, Track,
 };
 use std::cell::RefCell;
 use std::error::Error;
@@ -195,24 +195,6 @@ pub struct HulkV {
     timeline: Option<Timeline>,
     /// Telemetry cycle cursor in the SoC-interconnect clock domain.
     timeline_now: u64,
-    /// Live-telemetry callback: invoked once per newly closed timeline
-    /// window. The sink only *reads* the window, so attaching one is as
-    /// cycle-neutral as the timeline itself.
-    window_sink: Option<WindowSink>,
-    /// Windows already handed to the sink (index into the timeline).
-    windows_published: usize,
-}
-
-/// Boxed live-window callback accepted by [`HulkV::set_window_sink`].
-pub type WindowSinkFn = Box<dyn FnMut(&TimelineWindow)>;
-
-/// Opaque wrapper so [`HulkV`] stays `Debug` with a boxed closure field.
-struct WindowSink(WindowSinkFn);
-
-impl fmt::Debug for WindowSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("WindowSink(..)")
-    }
 }
 
 impl HulkV {
@@ -290,8 +272,6 @@ impl HulkV {
             tracer: None,
             timeline: None,
             timeline_now: 0,
-            window_sink: None,
-            windows_published: 0,
             cfg,
         })
     }
@@ -324,21 +304,6 @@ impl HulkV {
     pub fn enable_timeline(&mut self, period_cycles: u64) {
         self.timeline = Some(Timeline::new(period_cycles));
         self.timeline_now = 0;
-        self.windows_published = 0;
-    }
-
-    /// Installs a live window sink: every window the timeline closes is
-    /// handed to `sink` exactly once, during [`HulkV::timeline_sample`].
-    /// The sink observes windows that are also retained in the timeline,
-    /// so enabling one changes nothing about the run's deterministic
-    /// outputs (see the telemetry neutrality test).
-    pub fn set_window_sink(&mut self, sink: WindowSinkFn) {
-        self.window_sink = Some(WindowSink(sink));
-    }
-
-    /// Removes the live window sink, returning it.
-    pub fn take_window_sink(&mut self) -> Option<WindowSinkFn> {
-        self.window_sink.take().map(|s| s.0)
     }
 
     /// The telemetry timeline, when enabled.
@@ -350,7 +315,6 @@ impl HulkV {
     /// run); sampling stops until [`HulkV::enable_timeline`] is called
     /// again.
     pub fn take_timeline(&mut self) -> Option<Timeline> {
-        self.windows_published = 0;
         self.timeline.take()
     }
 
@@ -370,12 +334,6 @@ impl HulkV {
         let now = self.timeline_now;
         if let Some(tl) = self.timeline.as_mut() {
             tl.sample(now, &blocks);
-            if let Some(WindowSink(sink)) = self.window_sink.as_mut() {
-                for w in &tl.windows()[self.windows_published.min(tl.len())..] {
-                    sink(w);
-                }
-                self.windows_published = tl.len();
-            }
         }
     }
 

@@ -32,9 +32,9 @@ use hulkv_analyze::{analyze, AnalyzeConfig, GuestProgram, Side};
 use hulkv_fuzz::{
     generate, run_differential, run_race_oracle, shrink, Isa, LockstepOptions, Program,
 };
-use hulkv_obs::TelemetryBus;
+use hulkv_obs::{ObsArgs, Sink};
 use hulkv_rv::disassemble_word;
-use hulkv_sim::{category, Json, MetricsSnapshot, SplitMix64, Stats, Tracer};
+use hulkv_sim::{Json, MetricsSnapshot, SplitMix64, Stats};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -51,25 +51,25 @@ struct Cli {
     inject_divergence: bool,
     repro_dir: String,
     json: bool,
-    metrics_out: Option<String>,
-    trace_out: Option<String>,
-    serve_metrics: Option<String>,
+    obs: ObsArgs,
     heartbeat: u64,
 }
 
 fn parse_cli() -> Result<Cli, String> {
+    let (obs, rest) = ObsArgs::parse(
+        std::env::args().skip(1),
+        &[Sink::Metrics, Sink::Trace, Sink::Serve],
+    )?;
     let mut cli = Cli {
         seed: 1,
         programs: 100,
         inject_divergence: false,
         repro_dir: "fuzz/repros".to_string(),
         json: false,
-        metrics_out: None,
-        trace_out: None,
-        serve_metrics: None,
+        obs,
         heartbeat: 250,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = rest.into_iter();
     while let Some(arg) = args.next() {
         let mut num = |name: &str| -> Result<u64, String> {
             args.next()
@@ -86,15 +86,6 @@ fn parse_cli() -> Result<Cli, String> {
                 cli.repro_dir = args.next().ok_or("--repro-dir needs a value")?;
             }
             "--json" => cli.json = true,
-            "--metrics-out" => {
-                cli.metrics_out = Some(args.next().ok_or("--metrics-out needs a value")?);
-            }
-            "--trace-out" => {
-                cli.trace_out = Some(args.next().ok_or("--trace-out needs a value")?);
-            }
-            "--serve-metrics" => {
-                cli.serve_metrics = Some(args.next().ok_or("--serve-metrics needs a value")?);
-            }
             "--heartbeat" => cli.heartbeat = num("--heartbeat")?,
             "--help" | "-h" => {
                 return Err("usage: fuzz_iss [--seed N] [--programs N] [--ci-budget] \
@@ -149,14 +140,16 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let tracer = cli.trace_out.as_ref().map(|_| {
-        let t = Tracer::shared(1 << 18);
-        t.borrow_mut().enable(category::ALL);
-        t
-    });
+    let obs = match cli.obs.start() {
+        Ok(obs) => obs,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::FAILURE;
+        }
+    };
     let opts = LockstepOptions {
         inject_divergence: cli.inject_divergence,
-        tracer: tracer.clone(),
+        tracer: obs.tracer().cloned(),
         ..LockstepOptions::default()
     };
     println!(
@@ -167,15 +160,7 @@ fn main() -> ExitCode {
     // Live campaign telemetry: the heartbeat line and the optional HTTP
     // endpoint both read these registry handles, so what a scraper sees
     // is exactly what the console reports.
-    let bus = TelemetryBus::new();
-    let server = cli.serve_metrics.as_deref().map(|addr| {
-        let s = bus
-            .serve(addr)
-            .unwrap_or_else(|e| panic!("--serve-metrics: {e}"));
-        println!("serving metrics on {}", s.addr());
-        s
-    });
-    let reg = bus.registry().clone();
+    let reg = obs.bus().registry().clone();
     let hb_programs = reg.counter(
         "hulkv_fuzz_programs_total",
         "Differential programs run across all sides.",
@@ -339,25 +324,9 @@ fn main() -> ExitCode {
     }
     snap.set_figure("seed", cli.seed as f64);
     // /snapshot and /metrics serve the same document --metrics-out writes.
-    bus.publish_snapshot(&snap);
-    if let Some(path) = &cli.metrics_out {
-        if let Err(e) = std::fs::write(path, format!("{}\n", snap.to_json())) {
-            eprintln!("failed to write metrics to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("metrics written to {path}");
-    }
-    if let (Some(path), Some(t)) = (&cli.trace_out, &tracer) {
-        let t = t.borrow();
-        if let Err(e) = std::fs::write(path, format!("{}\n", t.chrome_trace())) {
-            eprintln!("failed to write trace to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "trace written to {path} ({} events, {} dropped)",
-            t.len(),
-            t.dropped()
-        );
+    if let Err(msg) = obs.finish(&snap, &[]) {
+        eprintln!("{msg}");
+        return ExitCode::FAILURE;
     }
 
     if cli.json {
@@ -382,9 +351,6 @@ fn main() -> ExitCode {
              race oracle {}/{} hammers confirmed, 0 striped false positives)",
             race.hammer_confirmed, race.pool
         );
-    }
-    if let Some(s) = server {
-        s.shutdown();
     }
     ExitCode::SUCCESS
 }

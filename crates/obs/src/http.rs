@@ -113,7 +113,7 @@ fn read_request(stream: &mut TcpStream) -> Option<(String, String)> {
     Some((method, path))
 }
 
-fn handle_conn(stream: &mut TcpStream, handler: &Handler, quit: &AtomicBool) {
+fn handle_conn(stream: &mut TcpStream, handler: &Handler) {
     let Some((method, path)) = read_request(stream) else {
         return;
     };
@@ -132,10 +132,6 @@ fn handle_conn(stream: &mut TcpStream, handler: &Handler, quit: &AtomicBool) {
     let path = path.split('?').next().unwrap_or("");
     let resp = match path {
         "/healthz" => Response::text("ok\n"),
-        "/quit" => {
-            quit.store(true, Ordering::SeqCst);
-            Response::text("bye\n")
-        }
         p => handler(p).unwrap_or_else(Response::not_found),
     };
     write_response(stream, &resp);
@@ -162,14 +158,8 @@ impl HttpServer {
                     if quit2.load(Ordering::SeqCst) {
                         break;
                     }
-                    match stream {
-                        Ok(mut s) => {
-                            handle_conn(&mut s, &handler, &quit2);
-                            if quit2.load(Ordering::SeqCst) {
-                                break;
-                            }
-                        }
-                        Err(_) => continue,
+                    if let Ok(mut s) = stream {
+                        handle_conn(&mut s, &handler);
                     }
                 }
             })
@@ -184,24 +174,6 @@ impl HttpServer {
     /// The bound address (useful with port `0`).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// True once `/quit` has been requested (or [`shutdown`] called).
-    ///
-    /// [`shutdown`]: HttpServer::shutdown
-    pub fn quit_requested(&self) -> bool {
-        self.quit.load(Ordering::SeqCst)
-    }
-
-    /// Blocks up to `max`, returning early once `/quit` is requested.
-    /// Lets a finished benchmark keep the endpoint scrapeable.
-    pub fn linger(&self, max: Duration) {
-        let step = Duration::from_millis(25);
-        let mut waited = Duration::ZERO;
-        while waited < max && !self.quit_requested() {
-            std::thread::sleep(step);
-            waited += step;
-        }
     }
 
     /// Stops the accept loop and joins the listener thread.
@@ -264,21 +236,6 @@ mod tests {
         assert_eq!(st, 404);
         let (st, body) = get(addr, "/healthz").unwrap();
         assert_eq!((st, body.as_str()), (200, "ok\n"));
-        srv.shutdown();
-    }
-
-    #[test]
-    fn quit_endpoint_ends_linger_and_shutdown_joins() {
-        let srv = HttpServer::serve("127.0.0.1:0", demo_handler()).unwrap();
-        let addr = srv.addr();
-        assert!(!srv.quit_requested());
-        let (st, _) = get(addr, "/quit").unwrap();
-        assert_eq!(st, 200);
-        // linger returns promptly because quit is already set.
-        let t0 = std::time::Instant::now();
-        srv.linger(Duration::from_secs(10));
-        assert!(t0.elapsed() < Duration::from_secs(5));
-        assert!(srv.quit_requested());
         srv.shutdown();
     }
 

@@ -1,18 +1,19 @@
 //! `hulkv-obs`: live telemetry for the HULK-V simulator.
 //!
-//! Three layers, all dependency-free:
+//! Four layers, all dependency-free:
 //!
 //! - [`registry`]: a [`MetricsRegistry`] of named counters, gauges, and
-//!   histograms with cheap atomic handles. Counters are exact `u64`
-//!   end-to-end, so mirrored `Stats` values reconcile bit-for-bit with
-//!   the deterministic [`hulkv_sim::MetricsSnapshot`].
+//!   histograms with cheap atomic handles, for the series that change
+//!   while a run is going.
 //! - [`prom`]: a Prometheus text-exposition writer (and a small scrape
-//!   parser for round-trip tests and the CI gate).
+//!   parser, the oracle of the round-trip tests).
 //! - [`http`] + [`bus`]: a single-threaded HTTP listener serving
-//!   `/metrics`, `/snapshot`, `/timeline`, `/healthz`, and `/quit`, fed
-//!   by a [`TelemetryBus`] that mirrors snapshots, streams timeline
-//!   windows, times driver phases, and publishes the quantum engine's
-//!   self-profile.
+//!   `/metrics`, `/snapshot` and `/healthz` from a [`TelemetryBus`] that
+//!   keeps the last published [`hulkv_sim::MetricsSnapshot`] and times
+//!   driver phases.
+//! - [`cli`]: [`ObsArgs`], the one parser of the sink flags
+//!   (`--metrics-out`, `--trace-out`, `--timeline-out`,
+//!   `--timeline-period`, `--serve-metrics`) and their wiring.
 //!
 //! The cardinal rule: the bus is an *observer*. Publishing happens only
 //! at boundaries the driver already crosses, wall-clock data never
@@ -24,13 +25,15 @@
 #![warn(missing_docs)]
 
 pub mod bus;
+pub mod cli;
 pub mod http;
 pub mod prom;
 pub mod registry;
 
-pub use bus::{TelemetryBus, TIMELINE_RETAIN};
+pub use bus::TelemetryBus;
+pub use cli::{tracer, write_file, ObsArgs, ObsSession, Sink};
 pub use http::{get, Handler, HttpServer, Response};
 pub use registry::{
-    exponential_bounds, is_valid_label_name, is_valid_metric_name, sanitize_name, CounterHandle,
-    GaugeHandle, HistogramHandle, MetricKind, MetricsRegistry,
+    exponential_bounds, is_valid_label_name, is_valid_metric_name, CounterHandle, GaugeHandle,
+    HistogramHandle, MetricKind, MetricsRegistry,
 };

@@ -1,21 +1,19 @@
 //! Prometheus text exposition: writer and scrape parser.
 //!
-//! The writer renders a [`MetricsRegistry`] sample into the
+//! The writer renders sampled metric families into the
 //! [text-based exposition format] (version 0.0.4): `# HELP` / `# TYPE`
 //! metadata, one line per series, label values escaped, histograms as
 //! cumulative `_bucket{le=...}` series plus `_sum` / `_count`. Counter
 //! values are written from `u64` directly, so a scrape reconciles
-//! *exactly* against the registry (and, transitively, against the final
-//! `MetricsSnapshot` mirrored onto it).
+//! *exactly* against the `MetricsSnapshot` the bus renders it from.
 //!
-//! The parser reads the same format back — enough for the
-//! scrape-then-parse round-trip tests and for in-process consumers; it is
-//! not a general Prometheus client.
+//! The parser reads the same format back — the oracle of the
+//! scrape-then-parse tests; it is not a general Prometheus client.
 //!
 //! [text-based exposition format]:
 //! https://prometheus.io/docs/instrumenting/exposition_formats/
 
-use crate::registry::{MetricsRegistry, SampleValue};
+use crate::registry::{FamilySample, SampleValue};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -74,10 +72,11 @@ fn render_labels(out: &mut String, labels: &[(String, String)]) {
     out.push('}');
 }
 
-/// Renders the registry's current contents as one exposition document.
-pub fn render(registry: &MetricsRegistry) -> String {
+/// Renders sampled families, in the order given, as one exposition
+/// document.
+pub fn render(families: &[FamilySample]) -> String {
     let mut out = String::new();
-    for fam in registry.sample() {
+    for fam in families {
         let _ = writeln!(out, "# HELP {} {}", fam.name, escape_help(&fam.help));
         let _ = writeln!(out, "# TYPE {} {}", fam.name, fam.kind.as_str());
         for series in &fam.series {
@@ -291,7 +290,7 @@ pub fn parse(text: &str) -> Result<Exposition, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::exponential_bounds;
+    use crate::registry::{exponential_bounds, MetricsRegistry};
 
     fn lines_of<'t>(text: &'t str, name: &str) -> Vec<&'t str> {
         text.lines().filter(|l| l.contains(name)).collect()
@@ -302,7 +301,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("hulkv_events_total", "All events.", &[]).add(7);
         reg.gauge("hulkv_mips", "Live MIPS.", &[]).set(41.25);
-        let text = render(&reg);
+        let text = render(&reg.sample());
         assert!(text.contains("# HELP hulkv_events_total All events.\n"));
         assert!(text.contains("# TYPE hulkv_events_total counter\n"));
         assert!(text.contains("\nhulkv_events_total 7\n") || text.starts_with("# HELP"));
@@ -339,7 +338,7 @@ mod tests {
         assert_eq!(escape_label_value(hostile), "a\\\\b\\\"c\\nd");
         let reg = MetricsRegistry::new();
         reg.counter("m", "h", &[("path", hostile)]).add(1);
-        let text = render(&reg);
+        let text = render(&reg.sample());
         let doc = parse(&text).unwrap();
         assert_eq!(doc.value("m", &[("path", hostile)]), Some(1.0));
     }
@@ -356,7 +355,7 @@ mod tests {
         for v in [0.0005, 0.002, 0.05, 7.0] {
             h.observe(v);
         }
-        let text = render(&reg);
+        let text = render(&reg.sample());
         let buckets = lines_of(&text, "hulkv_save_seconds_bucket");
         assert_eq!(buckets.len(), 4, "3 finite bounds + +Inf: {buckets:?}");
         assert!(buckets[0].contains("le=\"0.001\"") && buckets[0].ends_with(" 1"));
@@ -402,7 +401,7 @@ mod tests {
         reg.gauge("hulkv_ratio", "A ratio.", &[]).set(1.0 / 3.0);
         let h = reg.histogram("lat", "Latency.", &[], &exponential_bounds(1e-6, 10.0, 6));
         h.observe(3e-4);
-        let text = render(&reg);
+        let text = render(&reg.sample());
         let doc = parse(&text).unwrap();
         // Exact u64 counter round-trip: the rendered text carries the
         // full value even though the parse returns f64.

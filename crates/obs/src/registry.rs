@@ -7,10 +7,12 @@
 //! lock-free, so the simulator thread records while an HTTP server thread
 //! scrapes concurrently.
 //!
-//! Counters are exact `u64` values (no float rounding — the reconciliation
-//! gate compares scraped counters bit-for-bit against the final
-//! [`hulkv_sim::MetricsSnapshot`]); gauges and histogram sums are `f64`
-//! stored as bits in an `AtomicU64`.
+//! The registry holds the *live* series — ones that change while a run is
+//! going, such as phase timers, campaign counters and latency
+//! histograms. Simulator counters are not copied here: `/metrics` renders
+//! them from the last published [`hulkv_sim::MetricsSnapshot`] (see
+//! [`crate::bus`]). Counters are exact `u64` values; gauges and histogram
+//! sums are `f64` stored as bits in an `AtomicU64`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,27 +65,6 @@ pub fn is_valid_label_name(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-/// Rewrites an arbitrary string into a legal metric-name fragment: every
-/// illegal character becomes `_`, and a leading digit is prefixed with
-/// `_`. Used when mirroring free-form `Stats` keys onto the registry.
-pub fn sanitize_name(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len() + 1);
-    for (i, c) in raw.chars().enumerate() {
-        if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-            if i == 0 && c.is_ascii_digit() {
-                out.push('_');
-            }
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    if out.is_empty() {
-        out.push('_');
-    }
-    out
-}
-
 /// Adds `v` to an `f64` stored as bits in `cell` (CAS loop).
 fn atomic_f64_add(cell: &AtomicU64, v: f64) {
     let mut cur = cell.load(Ordering::Relaxed);
@@ -111,9 +92,9 @@ impl CounterHandle {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Sets the absolute value — the mirror path for `Stats` counters
-    /// that are themselves cumulative (a Prometheus counter may reset;
-    /// within one run the mirrored sources only grow).
+    /// Sets the absolute value, for sources that are themselves
+    /// cumulative (a Prometheus counter may reset; within one run such a
+    /// source only grows).
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
     }
@@ -554,15 +535,6 @@ mod tests {
             }
             other => panic!("not a histogram sample: {other:?}"),
         }
-    }
-
-    #[test]
-    fn sanitize_maps_arbitrary_keys_to_legal_fragments() {
-        assert_eq!(sanitize_name("bytes_read"), "bytes_read");
-        assert_eq!(sanitize_name("l1d.hit-rate"), "l1d_hit_rate");
-        assert_eq!(sanitize_name("8band"), "_8band");
-        assert_eq!(sanitize_name(""), "_");
-        assert!(is_valid_metric_name(&sanitize_name("fuzz_rv64sv39")));
     }
 
     #[test]

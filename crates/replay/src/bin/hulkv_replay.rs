@@ -11,7 +11,7 @@
 //! ```
 //!
 //! With `--serve-metrics ADDR`, `record` and `verify` expose the live
-//! telemetry endpoint (`/metrics`, `/snapshot`, `/timeline`).  Snapshot
+//! telemetry endpoint (`/metrics`, `/snapshot`).  Snapshot
 //! save and checkpoint-restore latencies land in the
 //! `hulkv_snapshot_save_seconds` / `hulkv_snapshot_restore_seconds`
 //! histograms, and the SoC's final `MetricsSnapshot` is published on
@@ -19,7 +19,7 @@
 
 use hulkv::{Recorder, Recording, SocConfig};
 use hulkv_kernels::suite::{record_fig6_kernel, Kernel, KernelParams};
-use hulkv_obs::{exponential_bounds, HistogramHandle, TelemetryBus};
+use hulkv_obs::{exponential_bounds, HistogramHandle, ObsArgs, Sink, TelemetryBus};
 use hulkv_replay::{Debugger, StepEvent, Watch};
 use std::io::{BufRead, Write};
 use std::time::Instant;
@@ -27,8 +27,8 @@ use std::time::Instant;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
-        Some("record") => cmd_record(&args[1..]),
-        Some("verify") => cmd_verify(&args[1..]),
+        Some("record") => cmd_record(&args[1..]).map_or_else(|e| fail(&e), |()| 0),
+        Some("verify") => cmd_verify(&args[1..]).map_or_else(|e| fail(&e), |()| 0),
         Some("info") => cmd_info(&args[1..]),
         Some("debug") => cmd_debug(&args[1..]),
         _ => {
@@ -50,17 +50,6 @@ fn parse_num(s: &str) -> Option<u64> {
 fn fail(msg: &str) -> i32 {
     eprintln!("hulkv-replay: {msg}");
     1
-}
-
-/// Starts the telemetry endpoint when `--serve-metrics` was given.
-fn serve_if_requested(bus: &TelemetryBus, addr: Option<&str>) -> Option<hulkv_obs::HttpServer> {
-    addr.map(|a| {
-        let s = bus
-            .serve(a)
-            .unwrap_or_else(|e| panic!("--serve-metrics: {e}"));
-        println!("serving metrics on {}", s.addr());
-        s
-    })
 }
 
 /// Snapshot save / checkpoint-restore latency histograms: 1 µs to ~8 s
@@ -86,7 +75,8 @@ fn snapshot_histograms(bus: &TelemetryBus) -> (HistogramHandle, HistogramHandle)
 
 // ---------------------------------------------------------------- record
 
-fn cmd_record(args: &[String]) -> i32 {
+fn cmd_record(args: &[String]) -> Result<(), String> {
+    let (obs, args) = ObsArgs::parse(args.iter().cloned(), &[Sink::Serve])?;
     let mut out = None;
     let mut kernel = Kernel::MatMulI8;
     let mut cores = 8usize;
@@ -94,76 +84,65 @@ fn cmd_record(args: &[String]) -> i32 {
     let mut capacity = 64usize;
     let mut decode_cache = true;
     let mut superblocks = true;
-    let mut serve_metrics = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        let mut num = || {
+            it.next()
+                .and_then(|s| parse_num(s))
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("{a} needs a positive number"))
+        };
         match a.as_str() {
             "--out" => out = it.next().cloned(),
-            "--serve-metrics" => serve_metrics = it.next().cloned(),
             "--kernel" => {
-                let Some(name) = it.next() else {
-                    return fail("--kernel needs a name");
-                };
-                match Kernel::ALL.iter().find(|k| k.name() == name) {
-                    Some(k) => kernel = *k,
-                    None => {
+                let name = it.next().ok_or("--kernel needs a name")?;
+                kernel = *Kernel::ALL
+                    .iter()
+                    .find(|k| k.name() == name)
+                    .ok_or_else(|| {
                         let names: Vec<&str> = Kernel::ALL.iter().map(|k| k.name()).collect();
-                        return fail(&format!(
-                            "unknown kernel {name:?}; one of: {}",
-                            names.join(", ")
-                        ));
-                    }
-                }
+                        format!("unknown kernel {name:?}; one of: {}", names.join(", "))
+                    })?;
             }
-            "--cores" => cores = it.next().and_then(|s| parse_num(s)).unwrap_or(8) as usize,
-            "--period" => period = it.next().and_then(|s| parse_num(s)).unwrap_or(10_000),
-            "--capacity" => capacity = it.next().and_then(|s| parse_num(s)).unwrap_or(64) as usize,
+            "--cores" => cores = num()? as usize,
+            "--period" => period = num()?,
+            "--capacity" => capacity = num()? as usize,
             "--no-decode-cache" => decode_cache = false,
             "--no-superblocks" => superblocks = false,
-            other => return fail(&format!("unknown record flag {other:?}")),
+            other => return Err(format!("unknown record flag {other:?}")),
         }
     }
-    let Some(out) = out else {
-        return fail("record needs --out FILE");
-    };
+    let out = out.ok_or("record needs --out FILE")?;
 
-    let bus = TelemetryBus::new();
-    let server = serve_if_requested(&bus, serve_metrics.as_deref());
-
+    let serving = obs.serve_metrics.is_some();
+    let obs = obs.start()?;
+    let bus = obs.bus();
     let mut cfg = SocConfig::default();
     cfg.host.decode_cache = decode_cache;
     cfg.cluster.decode_cache = decode_cache;
     cfg.host.superblocks = superblocks;
-    let mut rec = match Recorder::new(cfg, period, capacity) {
-        Ok(r) => r,
-        Err(e) => return fail(&format!("SoC bring-up failed: {e}")),
-    };
+    let mut rec =
+        Recorder::new(cfg, period, capacity).map_err(|e| format!("SoC bring-up failed: {e}"))?;
     bus.begin_phase("record");
-    if let Err(e) = record_fig6_kernel(&mut rec, kernel, &KernelParams::small(), cores) {
-        return fail(&format!("workload failed under recording: {e}"));
-    }
+    record_fig6_kernel(&mut rec, kernel, &KernelParams::small(), cores)
+        .map_err(|e| format!("workload failed under recording: {e}"))?;
     bus.end_phase();
     let (soc, recording) = rec.finish();
     let bytes = recording.to_bytes();
-    if let Err(e) = std::fs::write(&out, &bytes) {
-        return fail(&format!("writing {out}: {e}"));
-    }
-    if server.is_some() {
+    hulkv_obs::write_file(&out, &bytes)?;
+    if serving {
         // Measure one save/restore round trip on the finished state so
         // the latency histograms carry real figures for this workload.
-        let (h_save, h_restore) = snapshot_histograms(&bus);
+        let (h_save, h_restore) = snapshot_histograms(bus);
         let t0 = Instant::now();
         let snap = soc.snapshot();
         h_save.observe(t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
-        match hulkv::HulkV::from_snapshot(&snap) {
-            Ok(restored) => {
-                h_restore.observe(t0.elapsed().as_secs_f64());
-                if restored.state_digest() != soc.state_digest() {
-                    return fail("snapshot round trip changed the state digest");
-                }
-            }
-            Err(e) => return fail(&format!("snapshot restore failed: {e}")),
+        let restored = hulkv::HulkV::from_snapshot(&snap)
+            .map_err(|e| format!("snapshot restore failed: {e}"))?;
+        h_restore.observe(t0.elapsed().as_secs_f64());
+        if restored.state_digest() != soc.state_digest() {
+            return Err("snapshot round trip changed the state digest".into());
         }
     }
     let mut snap = soc.metrics_snapshot();
@@ -172,7 +151,6 @@ fn cmd_record(args: &[String]) -> i32 {
     s.add("checkpoints", recording.checkpoints.len() as u64);
     s.add("recording_bytes", bytes.len() as u64);
     snap.push_block(s);
-    bus.publish_snapshot(&snap);
     println!(
         "recorded {} ({} cycles, {} commands, {} checkpoints, {} bytes) digest={:#018x}",
         kernel.name(),
@@ -182,10 +160,7 @@ fn cmd_record(args: &[String]) -> i32 {
         bytes.len(),
         soc.state_digest()
     );
-    if let Some(s) = server {
-        s.shutdown();
-    }
-    0
+    obs.finish(&snap, &[])
 }
 
 // ---------------------------------------------------------------- verify
@@ -195,32 +170,23 @@ fn load(path: &str) -> Result<Recording, String> {
     Recording::from_bytes(&bytes).map_err(|e| format!("parsing {path}: {e}"))
 }
 
-fn cmd_verify(args: &[String]) -> i32 {
-    let Some(path) = args.first() else {
-        return fail("verify needs a recording file");
+fn cmd_verify(args: &[String]) -> Result<(), String> {
+    let (obs, args) = ObsArgs::parse(args.iter().cloned(), &[Sink::Serve])?;
+    let path = match &args[..] {
+        [path] => path,
+        [] => return Err("verify needs a recording file".into()),
+        [_, other, ..] => return Err(format!("unknown verify flag {other:?}")),
     };
-    let mut serve_metrics = None;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--serve-metrics" => serve_metrics = it.next().cloned(),
-            other => return fail(&format!("unknown verify flag {other:?}")),
-        }
-    }
-    let bus = TelemetryBus::new();
-    let server = serve_if_requested(&bus, serve_metrics.as_deref());
-    let (h_save, h_restore) = snapshot_histograms(&bus);
-    let recording = match load(path) {
-        Ok(r) => r,
-        Err(e) => return fail(&e),
-    };
+    let obs = obs.start()?;
+    let bus = obs.bus();
+    let (h_save, h_restore) = snapshot_histograms(bus);
+    let recording = load(path)?;
 
     // Reference run: straight-line replay of the whole journal.
     bus.begin_phase("replay");
-    let reference = match recording.replay_to_end() {
-        Ok(s) => s,
-        Err(e) => return fail(&format!("straight-line replay failed: {e}")),
-    };
+    let reference = recording
+        .replay_to_end()
+        .map_err(|e| format!("straight-line replay failed: {e}"))?;
     bus.end_phase();
     let ref_digest = reference.state_digest();
     let ref_cycles = reference.host().core().cycles().get();
@@ -240,10 +206,9 @@ fn cmd_verify(args: &[String]) -> i32 {
     let mut restore_us_total = 0u128;
     for (i, cp) in recording.checkpoints.iter().enumerate() {
         let t0 = Instant::now();
-        let resumed = match recording.resume_from(i) {
-            Ok(s) => s,
-            Err(e) => return fail(&format!("resume from checkpoint {i}: {e}")),
-        };
+        let resumed = recording
+            .resume_from(i)
+            .map_err(|e| format!("resume from checkpoint {i}: {e}"))?;
         restore_us_total += t0.elapsed().as_micros();
         h_restore.observe(t0.elapsed().as_secs_f64());
         let digest = resumed.state_digest();
@@ -256,7 +221,7 @@ fn cmd_verify(args: &[String]) -> i32 {
                 cp.host_cycle,
                 stats == ref_stats
             );
-            return fail("resume-from-checkpoint diverged from straight-line replay");
+            return Err("resume-from-checkpoint diverged from straight-line replay".into());
         }
         println!(
             "checkpoint {i}: cycle {} ({} bytes) -> replay converged",
@@ -277,12 +242,8 @@ fn cmd_verify(args: &[String]) -> i32 {
     s.add("checkpoints", recording.checkpoints.len() as u64);
     s.add("snapshot_bytes", snap_bytes.len() as u64);
     final_snap.push_block(s);
-    bus.publish_snapshot(&final_snap);
     println!("VERIFY OK digest={ref_digest:#018x}");
-    if let Some(s) = server {
-        s.shutdown();
-    }
-    0
+    obs.finish(&final_snap, &[])
 }
 
 // ------------------------------------------------------------------ info

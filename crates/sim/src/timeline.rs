@@ -62,9 +62,7 @@ impl TimelineWindow {
     }
 
     /// The window as one JSON object — the per-line format of
-    /// [`Timeline::to_jsonl`], exposed so live consumers (the telemetry
-    /// bus `/timeline` stream) render windows identically to the file
-    /// exporter.
+    /// [`Timeline::to_jsonl`].
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("start_cycle", Json::from(self.start_cycle)),

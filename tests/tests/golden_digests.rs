@@ -84,8 +84,8 @@ fn traced_host_kernel() -> (Golden, u64) {
     )
 }
 
-fn cluster_kernel(k: Kernel) -> Golden {
-    let mut soc = fresh();
+fn cluster_kernel(k: Kernel, cfg: SocConfig) -> Golden {
+    let mut soc = HulkV::new(cfg).expect("SoC builds");
     let run = k
         .run_on_cluster(&mut soc, &KernelParams::small(), 8)
         .unwrap();
@@ -200,8 +200,35 @@ fn cluster_offload_matches_golden() {
     let mut runs: Vec<_> = Kernel::ALL
         .iter()
         .zip(&names)
-        .map(|(&k, name)| (name.as_str(), cluster_kernel(k)))
+        .map(|(&k, name)| (name.as_str(), cluster_kernel(k, SocConfig::default())))
         .collect();
     runs.push(("cluster-tiled-conv-258x130", cluster_tiled_conv()));
     check(&runs);
+}
+
+/// The quantum engine's determinism gate on `cluster-matmul-int8`, the
+/// int8 matmul offload: one worker, three workers and the TCDM race
+/// sanitizer each reproduce the default run. Snapshots embed the config,
+/// so `snapshot_hash` is left out.
+#[test]
+fn cluster_offload_is_worker_and_sanitizer_neutral() {
+    let want = expected("cluster-matmul-int8");
+    for (what, workers, race_sanitizer) in [
+        ("workers = 1", 1, false),
+        ("workers = 3", 3, false),
+        ("race_sanitizer = true", 0, true),
+    ] {
+        let mut cfg = SocConfig::default();
+        cfg.cluster.workers = workers;
+        cfg.cluster.race_sanitizer = race_sanitizer;
+        let got = cluster_kernel(Kernel::MatMulI8, cfg);
+        assert_eq!(
+            Golden {
+                snapshot_hash: want.snapshot_hash,
+                ..got
+            },
+            want,
+            "cluster-matmul-int8 moved with {what}"
+        );
+    }
 }

@@ -1,14 +1,14 @@
 //! Integration tests of the live telemetry bus (`hulkv-obs`) against a
-//! real SoC run: attaching the bus — timeline window sink, engine
+//! real SoC run: attaching the observability stack — timeline, engine
 //! self-profile, HTTP endpoint and all — must leave guest cycles, the
 //! state digest and every `Stats` counter bit-identical, and a live
-//! `/metrics` scrape must reconcile exactly with the final
+//! `/metrics` scrape must reconcile exactly with the published
 //! `MetricsSnapshot`.
 
 use hulkv::{HulkV, SocConfig};
 use hulkv_obs::{get, prom, TelemetryBus};
 use hulkv_rv::{csr, Asm, Reg, Xlen};
-use hulkv_sim::EngineProfile;
+use hulkv_sim::{EngineProfile, Fnv64, MetricsSnapshot, Stats};
 
 fn host_program() -> Vec<u32> {
     let mut p = Asm::new(Xlen::Rv64);
@@ -55,8 +55,8 @@ fn fingerprint(soc: &HulkV) -> (u64, u64, String) {
 }
 
 /// The hard guarantee from the design: enabling the whole observability
-/// stack — window sink feeding the bus, engine self-profile, live HTTP
-/// endpoint being scraped mid-run — changes nothing the guest can see.
+/// stack — timeline, engine self-profile, live HTTP endpoint being
+/// scraped mid-run — changes nothing the guest can see.
 #[test]
 fn telemetry_bus_is_guest_cycle_neutral() {
     let plain = {
@@ -70,7 +70,6 @@ fn telemetry_bus_is_guest_cycle_neutral() {
     let server = bus.serve("127.0.0.1:0").unwrap();
     let mut soc = HulkV::new(SocConfig::default()).unwrap();
     soc.enable_timeline(1_000);
-    soc.set_window_sink(bus.window_sink());
     soc.cluster_mut().set_profile(EngineProfile::new());
     drive(&mut soc);
 
@@ -86,15 +85,13 @@ fn telemetry_bus_is_guest_cycle_neutral() {
 }
 
 /// Every counter in the final `MetricsSnapshot` must come back exactly
-/// from a TCP scrape of `/metrics`, `/snapshot` must serve the same
-/// JSON the bus holds, `/timeline` streams the published windows, and
-/// `/quit` trips the shutdown flag.
+/// from a TCP scrape of `/metrics`, and `/snapshot` must serve the same
+/// JSON the bus holds.
 #[test]
 fn live_scrape_reconciles_with_final_snapshot() {
     let bus = TelemetryBus::new();
     let mut soc = HulkV::new(SocConfig::default()).unwrap();
     soc.enable_timeline(1_000);
-    soc.set_window_sink(bus.window_sink());
     drive(&mut soc);
     let snap = soc.metrics_snapshot();
     bus.publish_snapshot(&snap);
@@ -120,18 +117,78 @@ fn live_scrape_reconciles_with_final_snapshot() {
     assert!(checked > 20, "only {checked} counters reconciled");
     assert_eq!(exp.value("hulkv_snapshot_publishes_total", &[]), Some(1.0));
 
-    let windows = exp.value("hulkv_timeline_windows_total", &[]).unwrap();
-    assert!(windows > 0.0, "no timeline windows reached the bus");
-    let (code, jsonl) = get(server.addr(), "/timeline").unwrap();
-    assert_eq!(code, 200);
-    assert_eq!(jsonl.lines().count() as f64, windows);
-
     let (code, body) = get(server.addr(), "/snapshot").unwrap();
     assert_eq!(code, 200);
     assert_eq!(body.trim_end(), bus.snapshot_json().trim_end());
-
-    let (code, _) = get(server.addr(), "/quit").unwrap();
-    assert_eq!(code, 200);
-    assert!(server.quit_requested());
     server.shutdown();
+}
+
+/// Pins the `/metrics` exposition and the `/snapshot` JSON of one real
+/// SoC snapshot published on a fresh bus, byte for byte: how the bus
+/// stores and renders a snapshot may change, what a scraper reads may
+/// not.
+#[test]
+fn exposition_of_a_published_snapshot_is_pinned() {
+    let mut soc = HulkV::new(SocConfig::default()).unwrap();
+    drive(&mut soc);
+    let mut snap = soc.metrics_snapshot();
+    snap.set_power_mw("pmca", 88.5);
+    snap.set_energy("total_mj", 1.75);
+    snap.set_figure("wall_seconds", 0.5);
+    let bus = TelemetryBus::new();
+    bus.publish_snapshot(&snap);
+
+    let fnv = |s: String| Fnv64::new().write(s.as_bytes()).finish();
+    let metrics = fnv(bus.render_metrics());
+    let json = fnv(bus.snapshot_json());
+    println!("render_metrics {metrics:#018x}, snapshot_json {json:#018x}");
+    assert_eq!(metrics, 0x1531_0ef0_be7f_55e1, "/metrics exposition moved");
+    assert_eq!(json, 0x68b5_c477_51d5_2d07, "/snapshot JSON moved");
+}
+
+/// `/metrics` serves the last published snapshot and nothing older: a
+/// block that the newer snapshot no longer carries drops out of the
+/// scrape, and every `hulkv_stats` series matches `/snapshot`.
+#[test]
+fn metrics_follow_the_latest_snapshot() {
+    let bus = TelemetryBus::new();
+    let publish = |block: &str, value: u64| {
+        let mut snap = MetricsSnapshot::new();
+        let mut s = Stats::new(block);
+        s.set("x", value);
+        snap.push_block(s);
+        bus.publish_snapshot(&snap);
+    };
+    publish("first", 1);
+    publish("second", 2);
+
+    let server = bus.serve("127.0.0.1:0").unwrap();
+    let (code, text) = get(server.addr(), "/metrics").unwrap();
+    assert_eq!(code, 200);
+    let (code, body) = get(server.addr(), "/snapshot").unwrap();
+    assert_eq!(code, 200);
+    server.shutdown();
+
+    let exp = prom::parse(&text).unwrap();
+    let scraped: Vec<(String, String, f64)> = exp
+        .samples
+        .iter()
+        .filter(|s| s.name == "hulkv_stats")
+        .map(|s| (s.labels[0].1.clone(), s.labels[1].1.clone(), s.value))
+        .collect();
+    let served: Vec<(String, String, f64)> = MetricsSnapshot::parse(&body)
+        .unwrap()
+        .blocks
+        .iter()
+        .flat_map(|b| {
+            b.iter()
+                .map(|(k, v)| (b.name().to_owned(), k.to_owned(), v as f64))
+        })
+        .collect();
+    assert!(
+        !scraped.iter().any(|(block, _, _)| block == "first"),
+        "scrape still serves the superseded snapshot: {scraped:?}"
+    );
+    assert_eq!(scraped, served);
+    assert_eq!(exp.value("hulkv_snapshot_publishes_total", &[]), Some(2.0));
 }

@@ -51,9 +51,11 @@ cargo run --release -p hulkv-analyze --bin hulkv-lint -- --ci
 
 echo "== differential fuzz (fixed seed) + live telemetry scrape =="
 # 500 random programs per ISA side, fast paths on vs off in lockstep —
-# every bare-core program runs the per-retire ladder, bare RV64 programs
-# also run it block-granular (superblocks vs plain interpreter, synced
-# at random in-block offsets; Xpulp cores never dispatch blocks), and
+# every bare-core and host program runs the per-retire ladder; bare RV64
+# programs and cached-host programs also run the chunked lockstep (the
+# inline replay loop driven through run_until_cycle vs the decode-off
+# interpreter, synced at random offsets within straight-line runs;
+# Xpulp cores stay on the step loop), and
 # every cluster team program runs a second time:
 # serial executor vs thread-pool executor through the quantum engine,
 # with hart-striped racing TCDM traffic and digests compared at every
@@ -175,36 +177,29 @@ echo "== snapshot / record-replay gate (hulkv-replay) =="
 # middle mid-program ones) and replays each to completion, asserting the
 # final state digest, cycle count and Stats all equal the straight-line
 # run. Printed snapshot size and save/restore latency come from the same
-# pass. Run three times: superblocks on (the default), superblocks off,
-# and decode cache off must all replay bit-exactly, and all three
-# recordings must reach the same final cycle count and state digest —
-# the shell-level cross-mode check that the superblock engine is
-# invisible to architecture and timing. --no-superblocks switches the
-# CVA6 host only; the PMCA cores never run blocks.
+# pass. Run twice: the default (decode cache and the host's inline
+# replay loop on) and decode cache off must both replay bit-exactly, and
+# both recordings must reach the same final cycle count and state
+# digest — the shell-level cross-mode check that the fast paths are
+# invisible to architecture and timing.
 cargo build --release -q -p hulkv-replay
 replay=target/release/hulkv-replay
 "$replay" record --out "$tmp/fig6.hrec" --kernel relu-int8 --period 10000 \
   | tee "$tmp/record.log"
 "$replay" verify "$tmp/fig6.hrec" | tee "$tmp/verify.log"
 grep -q "VERIFY OK" "$tmp/verify.log"
-"$replay" record --out "$tmp/fig6_nosb.hrec" --kernel relu-int8 \
-  --period 10000 --no-superblocks | tee "$tmp/record_nosb.log"
-"$replay" verify "$tmp/fig6_nosb.hrec" | tee "$tmp/verify_nosb.log"
-grep -q "VERIFY OK" "$tmp/verify_nosb.log"
 "$replay" record --out "$tmp/fig6_nodc.hrec" --kernel relu-int8 \
   --period 10000 --no-decode-cache | tee "$tmp/record_nodc.log"
 "$replay" verify "$tmp/fig6_nodc.hrec" | tee "$tmp/verify_nodc.log"
 grep -q "VERIFY OK" "$tmp/verify_nodc.log"
-# Cross-mode neutrality: identical cycles and digest in all three modes.
-for log in record_nosb.log record_nodc.log; do
-  if [ "$(grep -o 'digest=[0-9a-fx]*' "$tmp/record.log")" != \
-       "$(grep -o 'digest=[0-9a-fx]*' "$tmp/$log")" ] ||
-     [ "$(grep -o '[0-9]* cycles' "$tmp/record.log")" != \
-       "$(grep -o '[0-9]* cycles' "$tmp/$log")" ]; then
-    echo "ci.sh: $log diverged from the superblock recording" >&2
-    exit 1
-  fi
-done
+# Cross-mode neutrality: identical cycles and digest in both modes.
+if [ "$(grep -o 'digest=[0-9a-fx]*' "$tmp/record.log")" != \
+     "$(grep -o 'digest=[0-9a-fx]*' "$tmp/record_nodc.log")" ] ||
+   [ "$(grep -o '[0-9]* cycles' "$tmp/record.log")" != \
+     "$(grep -o '[0-9]* cycles' "$tmp/record_nodc.log")" ]; then
+  echo "ci.sh: record_nodc.log diverged from the default recording" >&2
+  exit 1
+fi
 
 # Scripted time-travel session: goto, single-step back, state diff and a
 # memory watchpoint must all work end-to-end on the recording.

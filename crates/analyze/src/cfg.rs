@@ -133,14 +133,12 @@ fn sweep(prog: &GuestProgram, cfg: &mut Cfg, mut work: VecDeque<u64>) {
             None => {
                 // Undecodable: execution traps here; no successors.
             }
-            // The dispatch below is structured around the **shared
-            // boundary predicate** [`Inst::ends_superblock`]: any
-            // instruction that does not end a superblock is plain
-            // fallthrough here, and every special-cased edge shape lives
-            // behind the predicate — so the engine's block formation
-            // (`hulkv-rv`'s `superblock.rs`) and this sweep cannot drift
-            // (a test below checks the correspondence on a recovered
-            // graph).
+            // The dispatch below is structured around the **boundary
+            // predicate** [`Inst::ends_superblock`]: any instruction that
+            // does not end a block is plain fallthrough here, and every
+            // special-cased edge shape lives behind the predicate — so
+            // the predicate and this sweep cannot drift (a test below
+            // checks the correspondence on a recovered graph).
             Some(inst) if !inst.ends_superblock() => {
                 succs.push(next);
             }
@@ -212,7 +210,7 @@ fn sweep(prog: &GuestProgram, cfg: &mut Cfg, mut work: VecDeque<u64>) {
                 _ => {
                     // The remaining boundary instructions — `ecall`
                     // (trap-and-return convention), `fence.i`, CSR
-                    // accesses — end a superblock because they can
+                    // accesses — end a block because they can
                     // change translation or interrupt state, but
                     // execution continues at the next PC.
                     succs.push(next);
@@ -338,10 +336,9 @@ mod tests {
 
     #[test]
     fn boundary_predicate_agrees_with_edge_shapes() {
-        // Drift guard for the shared predicate: on a recovered graph,
+        // Drift guard for the boundary predicate: on a recovered graph,
         // every instruction whose successor set is anything other than
-        // plain fallthrough must be a superblock boundary — i.e. the
-        // engine would also have ended a block there (hw-loop back-edges
+        // plain fallthrough must be a block boundary (hw-loop back-edges
         // are the one legal exception: the *redirected* instruction is a
         // plain body instruction; the boundary lives at the `lp.*` setup).
         let mut a = Asm::new(Xlen::Rv32);
@@ -385,7 +382,7 @@ mod tests {
             if !plain.is_empty() || terminal {
                 assert!(
                     inst.ends_superblock(),
-                    "{pc:#x}: {inst:?} has edge shape {:?} but is not a superblock boundary",
+                    "{pc:#x}: {inst:?} has edge shape {:?} but is not a block boundary",
                     cfg.succs[&pc]
                 );
             }

@@ -170,7 +170,6 @@ impl SocConfig {
             ("caches_enabled", Json::Bool(self.host.caches_enabled)),
             ("cacheable_start", hex(self.host.cacheable_start)),
             ("decode_cache", Json::Bool(self.host.decode_cache)),
-            ("superblocks", Json::Bool(self.host.superblocks)),
         ]);
         let cluster = Json::obj([
             ("cores", hex(self.cluster.cores as u64)),
@@ -212,14 +211,12 @@ impl SocConfig {
     ///
     /// On a malformed or unknown-kind document.
     pub fn from_json(j: &Json) -> SnapResult<SocConfig> {
-        // Optional-with-default boolean: pre-superblock configs lack the
-        // key, and those machines behaved exactly like superblocks-on
-        // (the engine is bit-neutral), so defaulting keeps old snapshots
-        // restoring.
-        let opt_bool = |j: &Json, key: &str| -> SnapResult<bool> {
+        // Retired boolean keys (`host.superblocks`, `cluster.superblocks`:
+        // no core runs the block engine any more) that older documents
+        // still carry: type-check them, then drop them.
+        let retired_bool = |j: &Json, key: &str| -> SnapResult<()> {
             match j.get(key) {
-                None => Ok(true),
-                Some(Json::Bool(b)) => Ok(*b),
+                None | Some(Json::Bool(_)) => Ok(()),
                 Some(other) => Err(SnapError::msg(format!(
                     "{key:?}: expected bool, got {other}"
                 ))),
@@ -273,6 +270,7 @@ impl SocConfig {
             }),
         };
         let h = get(j, "host")?;
+        retired_bool(h, "superblocks")?;
         let host = HostConfig {
             freq: Freq::khz_new(get_u64(h, "freq_khz")?),
             soc_freq: Freq::khz_new(get_u64(h, "soc_freq_khz")?),
@@ -282,12 +280,9 @@ impl SocConfig {
             caches_enabled: get_bool(h, "caches_enabled")?,
             cacheable_start: get_u64(h, "cacheable_start")?,
             decode_cache: get_bool(h, "decode_cache")?,
-            superblocks: opt_bool(h, "superblocks")?,
         };
         let c = get(j, "cluster")?;
-        // Retired key (cluster cores no longer run superblocks) that older
-        // documents still carry: type-check it, then drop it.
-        opt_bool(c, "superblocks")?;
+        retired_bool(c, "superblocks")?;
         let cluster = ClusterConfig {
             cores: get_u64(c, "cores")? as usize,
             banks: get_u64(c, "banks")? as usize,

@@ -233,19 +233,18 @@ pub enum GenItem {
         off: u16,
         stride: i8,
     },
-    /// Superblock-hostile: a loop whose back-edge lands in the *middle*
-    /// of a previously executed straight-line run, so the engine must
-    /// dispatch (and form a second block) at an offset interior to an
-    /// existing block.
+    /// Replay-hostile: a loop whose back-edge lands in the *middle* of a
+    /// previously executed straight-line run, so the inline replay loop
+    /// re-enters that run at an interior offset.
     SbMidBranch { iters: u8, imm: i8 },
-    /// Superblock-hostile: self-modifying code whose store patches an
-    /// instruction *later in the same straight-line run* — the block
-    /// executing the store must not replay its own stale tail (with or
-    /// without an intervening `fence.i`).
+    /// Replay-hostile: self-modifying code whose store patches an
+    /// instruction *later in the same straight-line run* — the inline
+    /// replay executing the store must not replay the stale slot after it
+    /// (with or without an intervening `fence.i`).
     SbSmcTail { imm: i8, fence: bool, pad: u8 },
-    /// RV32 only: a hardware loop whose straight-line body (56..=119
-    /// instructions) exceeds the superblock length cap; Xpulp cores never
-    /// dispatch blocks, so it replays from the decode cache.
+    /// RV32 only: a hardware loop with a long straight-line body
+    /// (56..=119 instructions); Xpulp cores stay on the step loop, so it
+    /// replays from the decode cache.
     SbLongLoop { body: u8, count: u8, len: u8 },
     /// Cluster only: a hart-striped TCDM hammer. Each core derives a
     /// pointer from `mhartid` and bursts word stores/loads through it at
@@ -643,7 +642,7 @@ fn emit_xpulp_postinc(a: &mut Asm, isa: Isa, op: u8, reg: u8, hostile: bool, off
 /// See [`GenItem::SbMidBranch`].
 fn emit_sb_mid_branch(a: &mut Asm, iters: u8, imm: i8) {
     a.li(Reg::T1, 1 + (iters % 3) as i64);
-    // Straight-line prefix: executed once, becomes the head of a block...
+    // Straight-line prefix: executed once, the head of a run...
     a.addi(Reg::T6, Reg::T6, imm as i64 % 32);
     let mid = a.label();
     a.bind(mid);
@@ -662,7 +661,7 @@ fn emit_sb_smc_tail(a: &mut Asm, imm: i8, fence: bool, pad: u8) {
     a.bind(top);
     a.la(Reg::T0, slot);
     a.li(Reg::T2, addi_t6(imm) as i64);
-    // Padding pushes the patch slot deeper into the same block.
+    // Padding pushes the patch slot deeper into the same run.
     for _ in 0..pad % 6 {
         a.addi(Reg::T3, Reg::T3, 1);
     }
@@ -684,7 +683,7 @@ fn emit_sb_long_loop(a: &mut Asm, body: u8, count: u8, len: u8) {
     a.lp_starti(idx, s);
     a.lp_endi(idx, e);
     a.bind(s);
-    // 56..=119 straight-line instructions: straddles a 64-entry block cap.
+    // 56..=119 straight-line instructions.
     for i in 0..56 + (len % 64) as u32 {
         if i % 3 == 0 {
             a.addi(Reg::T1, Reg::T1, 1);

@@ -32,8 +32,9 @@ pub mod shrink;
 
 pub use gen::{generate, GenItem, Isa, Program};
 pub use lockstep::{
-    run_cluster_lockstep, run_differential, run_host_lockstep, run_lockstep,
-    run_team_workers_lockstep, Divergence, LockstepOptions, LockstepStats,
+    run_chunked_lockstep, run_cluster_lockstep, run_differential, run_host_chunked_lockstep,
+    run_host_lockstep, run_lockstep, run_team_workers_lockstep, Divergence, LockstepOptions,
+    LockstepStats,
 };
 pub use race_oracle::{run_race_oracle, RaceOracleSummary};
 pub use shrink::shrink;

@@ -17,10 +17,11 @@
 //! *required* to be cycle-neutral, so a timing drift is a divergence even
 //! when architectural state agrees.
 //!
-//! [`run_superblock_lockstep`] extends the ladder to the superblock
-//! engine on bare RV64 programs: the fast side executes whole chained
-//! blocks per dispatch via `run_until_cycle`, synced to the per-retire
-//! reference at randomly sized cycle boundaries so every in-block offset
+//! [`run_chunked_lockstep`] (bare RV64) and [`run_host_chunked_lockstep`]
+//! (the cached CVA6 host) extend the ladder to the run loop every
+//! workload takes: the fast side replays decode-cache slots inline via
+//! `run_until_cycle`, synced to the per-retire reference at randomly
+//! sized cycle boundaries so every offset within a straight-line run
 //! becomes a sync point.
 
 use crate::gen::{Isa, Program};
@@ -29,7 +30,7 @@ use hulkv_host::{Host, HostConfig};
 use hulkv_mem::{Bus, MemoryDevice, Sram};
 use hulkv_rv::csr::addr;
 use hulkv_rv::inst::FReg;
-use hulkv_rv::{Asm, Core, FlatBus, PrivMode, Reg, Xlen};
+use hulkv_rv::{Asm, Core, FlatBus, PrivMode, Reg, RvError, StepOutcome, Xlen};
 use hulkv_sim::{Cycles, Fnv64, SharedTracer, SplitMix64};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -395,48 +396,139 @@ pub fn run_lockstep(prog: &Program, opts: &LockstepOptions) -> Result<LockstepSt
     }
 }
 
-/// Lockstep driver for the superblock engine itself. The reference side
-/// is the plain interpreter stepped one retire at a time; the fast side
-/// (decode cache + superblocks) is driven through
-/// [`Core::run_until_cycle`] in randomly sized chunks, so sync points
-/// land at every offset within a block — mid-block budget exits, resumed
-/// dispatches, chain follows, and fused self-loop restarts all get
-/// exercised against the same program. Host-core programs only: Xpulp
-/// cores never dispatch blocks.
+/// One side of a chunked lockstep run: a bare core on a flat bus, or a
+/// whole CVA6 host (L1 caches, clock bridge) over its DRAM.
+trait ChunkSide {
+    fn core(&self) -> &Core;
+    fn core_mut(&mut self) -> &mut Core;
+    fn step(&mut self) -> Result<StepOutcome, RvError>;
+    fn run_until_cycle(&mut self, target: u64) -> Result<bool, RvError>;
+    /// The periodic full comparison of the two sides.
+    fn compare_full(step: u64, fast: &Self, refc: &Self) -> Result<(), Divergence>;
+}
+
+impl ChunkSide for (Core, FlatBus) {
+    fn core(&self) -> &Core {
+        &self.0
+    }
+    fn core_mut(&mut self) -> &mut Core {
+        &mut self.0
+    }
+    fn step(&mut self) -> Result<StepOutcome, RvError> {
+        self.0.step(&mut self.1)
+    }
+    fn run_until_cycle(&mut self, target: u64) -> Result<bool, RvError> {
+        self.0.run_until_cycle(&mut self.1, target)
+    }
+    fn compare_full(step: u64, fast: &Self, refc: &Self) -> Result<(), Divergence> {
+        compare_full(step, &fast.0, &fast.1, &refc.0, &refc.1)
+    }
+}
+
+impl ChunkSide for (Host, Rc<RefCell<Sram>>) {
+    fn core(&self) -> &Core {
+        self.0.core()
+    }
+    fn core_mut(&mut self) -> &mut Core {
+        self.0.core_mut()
+    }
+    fn step(&mut self) -> Result<StepOutcome, RvError> {
+        self.0.step()
+    }
+    fn run_until_cycle(&mut self, target: u64) -> Result<bool, RvError> {
+        self.0.run_until_cycle(target)
+    }
+    /// Core architecture plus both L1 caches' lines, LRU state and epoch:
+    /// the replayed fetch touches must leave the L1I exactly as the
+    /// reference's real fetches do. DRAM is compared once, at the end.
+    fn compare_full(step: u64, fast: &Self, refc: &Self) -> Result<(), Divergence> {
+        if fast.0.core().state_digest() != refc.0.core().state_digest() {
+            return Err(diff_state(step, fast.0.core(), refc.0.core()));
+        }
+        if fast.0.state_digest() != refc.0.state_digest() {
+            return Err(Divergence {
+                step,
+                what: format!(
+                    "host L1 state digest mismatch: fast {:#018x} vs ref {:#018x}",
+                    fast.0.state_digest(),
+                    refc.0.state_digest()
+                ),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Chunked lockstep of the inline replay loop on bare RV64 programs
+/// (flat memory). See [`chunked_lockstep`] for the driver.
+pub fn run_chunked_lockstep(
+    prog: &Program,
+    opts: &LockstepOptions,
+) -> Result<LockstepStats, Divergence> {
+    let mut fast = build_env(prog, true);
+    let mut refc = build_env(prog, false);
+    chunked_lockstep(prog, opts, &mut fast, &mut refc)
+}
+
+/// Chunked lockstep of the inline replay loop on the cached CVA6 host —
+/// the path [`Host::run`] and [`Host::run_until_cycle`] take over the
+/// L1I-backed bus in every CVA6 workload. See [`chunked_lockstep`] for
+/// the driver; the final DRAM images are compared after both sides
+/// flush their L1s.
+pub fn run_host_chunked_lockstep(
+    prog: &Program,
+    opts: &LockstepOptions,
+) -> Result<LockstepStats, Divergence> {
+    assert_eq!(prog.isa, Isa::Rv64Host);
+    let mut fast = build_host(prog, true);
+    let mut refc = build_host(prog, false);
+    let stats = chunked_lockstep(prog, opts, &mut fast, &mut refc)?;
+    compare_dram(stats.steps, &mut fast, &mut refc)?;
+    Ok(stats)
+}
+
+/// The chunked lockstep driver. The reference side runs with the decode
+/// cache off and is stepped one retire at a time, 1–24 retires per sync;
+/// the fast side (decode cache and inline replay on) is driven through
+/// `run_until_cycle` up to the reference's cycle count, so sync points
+/// land at every offset within a straight-line run and budget exits,
+/// restarts after a failed slot check and SMC invalidations all get
+/// exercised against the same program.
 ///
 /// Every instruction retires at least one cycle, so a cycle target taken
 /// from the reference always lands on the same retire boundary in the
 /// fast side; any drift in cycles, PC, instret, or halt state surfaces as
-/// a [`compare_cheap`] mismatch at the next sync. Interrupts are injected
-/// only when both sides are parked on the same boundary (chunks are
-/// clamped to injection points), and a reference-side instruction error
-/// — which retires no cycles — is reproduced by driving the fast side to
-/// the pre-error boundary and provoking the same error with one `step`.
+/// a [`compare_cheap`] mismatch at the next sync, and the full comparison
+/// runs every `opts.digest_every` syncs. Interrupts are injected only
+/// when both sides are parked on the same boundary (chunks are clamped
+/// to injection points), and a reference-side instruction error — which
+/// retires no cycles — is reproduced by driving the fast side to the
+/// pre-error boundary and provoking the same error with one `step`.
 ///
-/// `opts.tracer` is ignored: attaching a tracer pins a core to the
-/// interpreter, which would silently turn this into a plain lockstep run.
-pub fn run_superblock_lockstep(
+/// `opts.tracer` is ignored: attaching a tracer pins a core to the step
+/// loop, which would silently turn this into a plain lockstep run.
+fn chunked_lockstep<S: ChunkSide>(
     prog: &Program,
     opts: &LockstepOptions,
+    fast: &mut S,
+    refc: &mut S,
 ) -> Result<LockstepStats, Divergence> {
-    let (mut fast, mut fbus) = build_env(prog, true);
-    let (mut refc, mut rbus) = build_env(prog, false);
-    debug_assert!(fast.superblocks_enabled());
     let mut rng = SplitMix64::new(prog.reg_seed ^ 0x5b5b_5b5b_5b5b_5b5b);
     let mut step = 0u64; // retires completed on the reference side
     let mut syncs = 0u64;
     let mut injected = false;
+    let done = |step: u64, fast: &S| LockstepStats {
+        steps: step,
+        retired: fast.core().instret(),
+    };
     loop {
         for &(_, code) in prog.interrupts.iter().filter(|&&(at, _)| at == step) {
-            fast.set_interrupt_pending(code, true);
-            refc.set_interrupt_pending(code, true);
+            fast.core_mut().set_interrupt_pending(code, true);
+            refc.core_mut().set_interrupt_pending(code, true);
         }
         if step >= opts.max_steps {
-            compare_full(step, &fast, &fbus, &refc, &rbus)?;
-            return Ok(LockstepStats {
-                steps: step,
-                retired: fast.instret(),
-            });
+            S::compare_full(step, fast, refc)?;
+            return Ok(done(step, fast));
         }
         let next_irq = prog
             .interrupts
@@ -450,30 +542,30 @@ pub fn run_superblock_lockstep(
             .min(opts.max_steps - step);
         let mut ref_err = None;
         for _ in 0..chunk {
-            match refc.step(&mut rbus) {
+            match refc.step() {
                 Ok(_) => step += 1,
                 Err(e) => {
                     ref_err = Some(e);
                     break;
                 }
             }
-            if refc.is_halted() {
+            if refc.core().is_halted() {
                 break;
             }
         }
         // The reference's cycle count is now a retire boundary; run the
-        // fast side (block dispatch, chaining, budget exits) up to it.
-        if let Err(ef) = fast.run_until_cycle(&mut fbus, refc.cycles().get()) {
+        // fast side (inline replay, budget exits) up to it.
+        if let Err(ef) = fast.run_until_cycle(refc.core().cycles().get()) {
             return Err(Divergence {
                 step,
                 what: format!("fast path errored mid-chunk: {ef:?}"),
             });
         }
-        compare_cheap(step, &fast, &refc)?;
+        compare_cheap(step, fast.core(), refc.core())?;
         if let Some(er) = ref_err {
             // The failing instruction retired nothing on the reference;
             // both sides are parked right before it.
-            return match fast.step(&mut fbus) {
+            return match fast.step() {
                 Err(ef) => {
                     let (sf, sr) = (format!("{ef:?}"), format!("{er:?}"));
                     if sf != sr {
@@ -482,11 +574,8 @@ pub fn run_superblock_lockstep(
                             what: format!("error mismatch: fast {sf} vs ref {sr}"),
                         });
                     }
-                    compare_full(step, &fast, &fbus, &refc, &rbus)?;
-                    Ok(LockstepStats {
-                        steps: step,
-                        retired: fast.instret(),
-                    })
+                    S::compare_full(step, fast, refc)?;
+                    Ok(done(step, fast))
                 }
                 Ok(_) => Err(Divergence {
                     step,
@@ -495,19 +584,17 @@ pub fn run_superblock_lockstep(
             };
         }
         if opts.inject_divergence && !injected && step >= 3 {
-            fast.set_reg(Reg::Sp, fast.reg(Reg::Sp) ^ 1);
+            let sp = fast.core().reg(Reg::Sp);
+            fast.core_mut().set_reg(Reg::Sp, sp ^ 1);
             injected = true;
         }
         syncs += 1;
-        if refc.is_halted() {
-            compare_full(step, &fast, &fbus, &refc, &rbus)?;
-            return Ok(LockstepStats {
-                steps: step,
-                retired: fast.instret(),
-            });
+        if refc.core().is_halted() {
+            S::compare_full(step, fast, refc)?;
+            return Ok(done(step, fast));
         }
         if syncs.is_multiple_of(opts.digest_every) {
-            compare_full(step, &fast, &fbus, &refc, &rbus)?;
+            S::compare_full(step, fast, refc)?;
         }
     }
 }
@@ -593,13 +680,27 @@ pub fn run_host_lockstep(
             break;
         }
     }
-    // Final memory comparison through the DRAM backdoor (write-through L1
-    // keeps it coherent; flush covers any write-buffer residue).
-    fast.flush_l1().unwrap();
-    refc.flush_l1().unwrap();
+    let retired = fast.core().instret();
+    compare_dram(step, &mut (fast, fdram), &mut (refc, rdram))?;
+    Ok(LockstepStats {
+        steps: step,
+        retired,
+    })
+}
+
+/// Final memory comparison of two host sides through the DRAM backdoor
+/// (write-through L1 keeps it coherent; flush covers any write-buffer
+/// residue).
+fn compare_dram(
+    step: u64,
+    fast: &mut (Host, Rc<RefCell<Sram>>),
+    refc: &mut (Host, Rc<RefCell<Sram>>),
+) -> Result<(), Divergence> {
+    fast.0.flush_l1().unwrap();
+    refc.0.flush_l1().unwrap();
     let (df, dr) = (
-        fdram.borrow().content_digest(),
-        rdram.borrow().content_digest(),
+        fast.1.borrow().content_digest(),
+        refc.1.borrow().content_digest(),
     );
     if df != dr {
         return Err(Divergence {
@@ -607,10 +708,7 @@ pub fn run_host_lockstep(
             what: format!("host DRAM digest mismatch: fast {df:#018x} vs ref {dr:#018x}"),
         });
     }
-    Ok(LockstepStats {
-        steps: step,
-        retired: fast.core().instret(),
-    })
+    Ok(())
 }
 
 /// Builds one side of a cluster run and returns the cluster plus its L2
@@ -863,9 +961,11 @@ pub fn run_team_workers_lockstep(
 /// Dispatches a program to the harness matching its ISA side.
 ///
 /// Bare-core programs run the per-retire ladder (decode cache on vs
-/// off); bare RV64 programs also run it block-granular
-/// ([`run_superblock_lockstep`]), checking the superblock engine against
-/// the plain interpreter. Cluster programs run *their* ladder twice:
+/// off); bare RV64 programs also run it chunked
+/// ([`run_chunked_lockstep`]), checking the inline replay loop against
+/// the plain interpreter. Host programs run the per-retire ladder over
+/// the cached CVA6 ([`run_host_lockstep`]) and then its chunked form
+/// ([`run_host_chunked_lockstep`]). Cluster programs run *their* ladder twice:
 /// decode cache on vs off ([`run_cluster_lockstep`]), then serial vs
 /// thread-pool executor with per-quantum digest comparison
 /// ([`run_team_workers_lockstep`]) — the team size is drawn from the
@@ -878,11 +978,15 @@ pub fn run_differential(
     match prog.isa {
         Isa::Rv64Sv39 => {
             let stats = run_lockstep(prog, opts)?;
-            run_superblock_lockstep(prog, opts)?;
+            run_chunked_lockstep(prog, opts)?;
             Ok(stats)
         }
         Isa::Rv32Pulp => run_lockstep(prog, opts),
-        Isa::Rv64Host => run_host_lockstep(prog, opts),
+        Isa::Rv64Host => {
+            let stats = run_host_lockstep(prog, opts)?;
+            run_host_chunked_lockstep(prog, opts)?;
+            Ok(stats)
+        }
         Isa::Rv32Cluster => {
             let stats = run_cluster_lockstep(prog, 2)?;
             let cores = [2usize, 4, 8][(prog.data_seed >> 16) as usize % 3];

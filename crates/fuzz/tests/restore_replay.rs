@@ -91,11 +91,11 @@ fn checkpoint(core: &Core, bus: &FlatBus, pick: impl Fn(&Json) -> bool) -> Optio
     Some(snap.to_bytes())
 }
 
-/// The checkpoint interrupted a superblock: the resume continuation is
-/// armed in the core section.
-fn mid_block(core: &Json) -> bool {
-    core.get("sb_resume")
-        .is_some_and(|v| !matches!(v, Json::Null))
+/// The checkpoint landed while the inline loop was replaying: decode
+/// slots are live and the loop has already retired instructions.
+fn mid_replay(core: &Json) -> bool {
+    get_u64(core.get("counters").unwrap(), "sb_instrs_retired").unwrap() > 0
+        && get_u64(core, "decode_count").unwrap() > 0
 }
 
 /// The checkpoint landed inside a hardware loop: one is still armed and
@@ -109,8 +109,8 @@ fn mid_hw_loop(core: &Json) -> bool {
 }
 
 /// Drives `core` to completion in `chunk`-cycle `run_until_cycle` slices
-/// (the superblock dispatch path when superblocks are on, the plain
-/// interpreter otherwise).
+/// (the inline replay loop when it is on, the plain step loop
+/// otherwise).
 fn finish_chunked(core: &mut Core, bus: &mut FlatBus, chunk: u64) {
     for _ in 0..1_000_000 {
         if core
@@ -123,13 +123,14 @@ fn finish_chunked(core: &mut Core, bus: &mut FlatBus, chunk: u64) {
     panic!("program did not halt");
 }
 
-/// Cross-mode checkpoint/replay: a run recorded in one superblock mode is
-/// checkpointed mid-flight and restored into twins running in *both*
-/// modes; every twin must finish with cycles, architectural digest,
-/// memory image, and non-`sb_*` Stats identical to an uninterrupted
-/// plain-interpreter reference. `record_sb` picks the recording mode;
-/// the checkpoint is the first chunk boundary past a warm-up whose core
-/// section `pick` accepts.
+/// Cross-mode checkpoint/replay: a run recorded with the inline replay
+/// loop on or off is checkpointed mid-flight and restored into twins
+/// running in *both* modes; every twin must finish with cycles,
+/// architectural digest, memory image, and Stats other than
+/// `sb_instrs_retired` identical to an uninterrupted plain-interpreter
+/// reference. `record_sb` picks the recording mode; the checkpoint is
+/// the first chunk boundary past a warm-up whose core section `pick`
+/// accepts.
 fn cross_mode_checkpoint(
     prog: &Program,
     chunk: u64,
@@ -146,8 +147,8 @@ fn cross_mode_checkpoint(
     assert!(refc.is_halted(), "reference did not halt");
 
     // Recording side: chunked `run_until_cycle`, checkpoint at the first
-    // accepted chunk boundary past a warm-up (so blocks and hw-loop state
-    // are live).
+    // accepted chunk boundary past a warm-up (so decode slots and hw-loop
+    // state are live).
     let (mut core, mut bus) = repro_env(prog, true);
     core.set_superblocks(record_sb);
     let mut picked = None;
@@ -180,8 +181,8 @@ fn cross_mode_checkpoint(
             .unwrap();
         tbus.restore_from(&parsed, parsed.section("bus").unwrap())
             .unwrap();
-        // The snapshot carries the recording's superblock mode; the
-        // replay mode is an explicit override on top.
+        // The snapshot carries the recording's mode; the replay mode is
+        // an explicit override on top.
         twin.set_superblocks(replay_sb);
         finish_chunked(&mut twin, &mut tbus, chunk);
         assert_eq!(
@@ -199,7 +200,7 @@ fn cross_mode_checkpoint(
         let (ts, rs) = (twin.stats(), refc.stats());
         for (key, val) in ts.iter().filter(|(k, _)| !k.starts_with("sb_")) {
             // Decode-path counters depend on the decode-cache setting, not
-            // the superblock mode; the reference runs with the cache off.
+            // the run-loop mode; the reference runs with the cache off.
             if key.starts_with("decode_") || key.starts_with("itlb_") {
                 continue;
             }
@@ -213,8 +214,8 @@ fn cross_mode_checkpoint(
 }
 
 /// A deterministic Xpulp program whose execution is dominated by
-/// hardware loops: two short ones around one whose body is longer than
-/// the superblock length cap.
+/// hardware loops: two short ones around one with a long straight-line
+/// body.
 fn hwloop_heavy_prog() -> Program {
     Program {
         isa: Isa::Rv32Pulp,
@@ -237,16 +238,20 @@ fn hwloop_heavy_prog() -> Program {
     }
 }
 
-/// Mid-block resume on the one core type that dispatches blocks.
+/// A checkpoint taken while the inline loop replays, on the one core
+/// type that runs it, recorded with the loop on and with it off.
 #[test]
 fn superblock_recording_replays_in_both_modes() {
     let mut rng = SplitMix64::new(0x2026_0810);
     let prog = gen::generate(&mut rng, Isa::Rv64Sv39);
-    cross_mode_checkpoint(&prog, 7, true, mid_block);
+    cross_mode_checkpoint(&prog, 7, true, mid_replay);
+    cross_mode_checkpoint(&prog, 7, false, |core| {
+        get_u64(core, "decode_count").unwrap() > 0
+    });
 }
 
-/// Xpulp cores never dispatch blocks, so the superblock switch changes
-/// nothing on either side of the checkpoint.
+/// Xpulp cores always run the step loop, so the inline-replay switch
+/// changes nothing on either side of the checkpoint.
 #[test]
 fn xpulp_recording_replays() {
     let mut rng = SplitMix64::new(0x2026_0811);

@@ -37,10 +37,6 @@ pub struct HostConfig {
     /// Config-carried (not just a runtime toggle) so a machine rebuilt
     /// from a snapshot's embedded configuration replays identically.
     pub decode_cache: bool,
-    /// Whether the superblock (chained basic-block) engine is enabled on
-    /// top of the decode cache. Config-carried for the same reason as
-    /// `decode_cache`.
-    pub superblocks: bool,
 }
 
 impl Default for HostConfig {
@@ -54,7 +50,6 @@ impl Default for HostConfig {
             caches_enabled: true,
             cacheable_start: 0x1C00_0000,
             decode_cache: true,
-            superblocks: true,
         }
     }
 }
@@ -113,7 +108,6 @@ impl Host {
         .expect("L1D geometry");
         let mut core = Core::cva6();
         core.set_decode_cache(cfg.decode_cache);
-        core.set_superblocks(cfg.superblocks);
         Host {
             cfg,
             core,
@@ -154,13 +148,6 @@ impl Host {
     /// reference configurations of the same host side by side.
     pub fn set_decode_cache(&mut self, enabled: bool) {
         self.core.set_decode_cache(enabled);
-    }
-
-    /// Enables or disables the core's superblock engine (chained
-    /// basic-block dispatch). Cycle- and Stats-neutral except for the
-    /// `sb_*` counters; used for ablation and cross-mode replay tests.
-    pub fn set_superblocks(&mut self, enabled: bool) {
-        self.core.set_superblocks(enabled);
     }
 
     /// L1 data cache statistics.
@@ -515,10 +502,10 @@ mod tests {
 
     #[test]
     fn hpm_decode_events_unchanged_with_superblocks_armed() {
-        // The guest programs the PR 5 HPM decode-cache events and reads
-        // them back; block-granular execution must leave every
-        // guest-visible figure — the event counts, cycles, and
-        // architectural state — bit-identical to per-retire dispatch.
+        // The guest programs the HPM decode-cache events and reads them
+        // back; the inline replay loop must leave every guest-visible
+        // figure — the event counts, cycles, and architectural state —
+        // bit-identical to the plain step loop.
         use hulkv_rv::csr::addr;
         let body = |a: &mut Asm| {
             a.li(Reg::T0, 4); // HpmEvent::DecodeHit
@@ -538,9 +525,9 @@ mod tests {
         let mut on = host_with(30, true);
         let c_on = run_program(&mut on, body);
         let mut off = host_with(30, true);
-        off.set_superblocks(false);
+        off.core_mut().set_superblocks(false);
         let c_off = run_program(&mut off, body);
-        assert_eq!(c_on, c_off, "superblocks must not change timing");
+        assert_eq!(c_on, c_off, "the inline loop must not change timing");
         assert_eq!(
             on.core().reg(Reg::A0),
             off.core().reg(Reg::A0),

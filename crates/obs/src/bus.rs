@@ -160,8 +160,8 @@ fn snapshot_families(snap: &MetricsSnapshot) -> Vec<FamilySample> {
                 labels(&[("block", block.name()), ("counter", k)]),
                 SampleValue::Counter(v),
             );
-            // Covers caches, the decode cache, superblocks and the µTLB
-            // without naming them individually.
+            // Covers caches, the decode cache and the µTLB without naming
+            // them individually.
             let (resource, misses) = match k.strip_suffix("_hits") {
                 _ if k == "hits" => ("cache", "misses".to_owned()),
                 Some(prefix) => (prefix, format!("{prefix}_misses")),

@@ -3,7 +3,7 @@
 //! ```text
 //! hulkv-replay record --out FILE [--kernel NAME] [--cores N]
 //!                     [--period N] [--capacity N] [--no-decode-cache]
-//!                     [--no-superblocks (CVA6 host only)] [--serve-metrics ADDR]
+//!                     [--serve-metrics ADDR]
 //! hulkv-replay verify FILE [--serve-metrics ADDR]
 //!                                     exhaustive checkpoint/replay audit
 //! hulkv-replay info FILE              recording summary
@@ -83,7 +83,6 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
     let mut period = 10_000u64;
     let mut capacity = 64usize;
     let mut decode_cache = true;
-    let mut superblocks = true;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut num = || {
@@ -108,7 +107,6 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
             "--period" => period = num()?,
             "--capacity" => capacity = num()? as usize,
             "--no-decode-cache" => decode_cache = false,
-            "--no-superblocks" => superblocks = false,
             other => return Err(format!("unknown record flag {other:?}")),
         }
     }
@@ -120,7 +118,6 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
     let mut cfg = SocConfig::default();
     cfg.host.decode_cache = decode_cache;
     cfg.cluster.decode_cache = decode_cache;
-    cfg.host.superblocks = superblocks;
     let mut rec =
         Recorder::new(cfg, period, capacity).map_err(|e| format!("SoC bring-up failed: {e}"))?;
     bus.begin_phase("record");

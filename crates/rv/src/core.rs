@@ -9,12 +9,6 @@ use crate::mmu::{self, AccessKind, WalkFault};
 use crate::timing::CostModel;
 use hulkv_sim::{Cycles, PcProfile, SharedTracer, SimError, Stats, TraceEvent, Track};
 
-// Child module (not a sibling) so the block engine can reach the core's
-// private fast-path state without widening any visibility.
-#[path = "superblock.rs"]
-mod superblock;
-use superblock::SbExit;
-
 /// The memory interface a core executes against.
 ///
 /// Latencies are *stall* cycles: the cycles the access adds beyond the one
@@ -52,17 +46,6 @@ pub trait CoreBus {
     /// The default (`false`) disables decoded-instruction replay on buses
     /// that do not opt in.
     fn fetch_touch(&mut self, _addr: u64) -> bool {
-        false
-    }
-
-    /// Whether [`CoreBus::fetch_touch`] is a *pure* predicate on this
-    /// bus: no statistics, no recency state, and `true` for every
-    /// address whose fetch previously succeeded. Only on such buses may
-    /// the superblock engine replay an already-validated run of decoded
-    /// entries without re-touching each fetch; buses with an instruction
-    /// cache must keep per-entry touches (hit counters and LRU state are
-    /// observable through their stats).
-    fn fetch_touch_pure(&self) -> bool {
         false
     }
 
@@ -231,14 +214,6 @@ impl CoreBus for FlatBus {
     }
 
     #[inline]
-    fn fetch_touch_pure(&self) -> bool {
-        // `fetch_touch` above reads nothing but the (never-shrinking)
-        // memory size, so it is `true` for every previously-fetched
-        // address and has no side effects to mirror.
-        true
-    }
-
-    #[inline]
     fn timing_stateless(&self) -> bool {
         true
     }
@@ -355,10 +330,8 @@ struct CoreCounters {
     decode_invalidations: u64,
     itlb_hits: u64,
     itlb_misses: u64,
-    sb_hits: u64,
+    /// Instructions retired by [`Core::run_loop`]'s inline replay.
     sb_instrs_retired: u64,
-    sb_chain_follows: u64,
-    sb_invalidations: u64,
 }
 
 /// The HPM event matrix: what a `mhpmevent*` selector can count. The
@@ -510,26 +483,13 @@ pub struct Core {
     decode_entries: usize,
     decode_enabled: bool,
     decode_gen: u64,
-    /// Monotone count of decode-slot installs. Slots are mutated *only*
-    /// by [`Core::step_decode`]'s install (wholesale replacement on
-    /// snapshot restore aside, which also rebuilds every superblock), so
-    /// an unchanged count proves the decode cache's contents are exactly
-    /// what they were — the cheap half of a superblock's pure-prefix
-    /// validity stamp. Not serialized: restored blocks carry an invalid
-    /// stamp and re-validate on their first slow walk.
-    decode_installs: u64,
     /// Coarse dirty filter: the PA watermarks `[code_lo, code_hi)` cover
     /// every installed entry; a store overlapping the range invalidates.
     code_lo: u64,
     code_hi: u64,
-    /// Superblock (chained basic-block) dispatch state; built over the
-    /// decode cache, cleared whenever the decode cache is dropped.
-    sb: superblock::SbCache,
+    /// Whether [`Core::run_loop`] replays decode-cache slots inline
+    /// ([`Core::set_superblocks`]).
     sb_enabled: bool,
-    /// Pending mid-stream continuation from a `run_until_cycle` budget
-    /// landing inside a block stream (keeps `sb_*` counters and block
-    /// topology invariant under chunking).
-    sb_resume: Option<superblock::SbResume>,
     itlb: FetchTlb,
     mmu_cache: MmuCache,
     irq_cache: IrqCache,
@@ -577,12 +537,9 @@ impl Core {
             decode_entries: DECODE_CACHE_ENTRIES,
             decode_enabled: true,
             decode_gen: 1,
-            decode_installs: 0,
             code_lo: u64::MAX,
             code_hi: 0,
-            sb: superblock::SbCache::new(),
             sb_enabled: true,
-            sb_resume: None,
             itlb: FetchTlb {
                 valid: false,
                 page: 0,
@@ -760,10 +717,7 @@ impl Core {
             ("hwloop_iters", c.hwloop_iters),
             ("itlb_hits", c.itlb_hits),
             ("itlb_misses", c.itlb_misses),
-            ("sb_hits", c.sb_hits),
             ("sb_instrs_retired", c.sb_instrs_retired),
-            ("sb_chain_follows", c.sb_chain_follows),
-            ("sb_invalidations", c.sb_invalidations),
         ] {
             if v != 0 {
                 s.set(k, v);
@@ -843,10 +797,7 @@ impl Core {
             ("decode_invalidations", hex(c.decode_invalidations)),
             ("itlb_hits", hex(c.itlb_hits)),
             ("itlb_misses", hex(c.itlb_misses)),
-            ("sb_hits", hex(c.sb_hits)),
             ("sb_instrs_retired", hex(c.sb_instrs_retired)),
-            ("sb_chain_follows", hex(c.sb_chain_follows)),
-            ("sb_invalidations", hex(c.sb_invalidations)),
         ]);
         let hpm = Json::Arr(
             self.hpm
@@ -887,12 +838,6 @@ impl Core {
             }
         }
         let decode_entries = snap.push_blob(&packed);
-        // The superblock store is serialized exactly for the same reason
-        // the decode cache is: block topology (short blocks formed while
-        // slots were cold, successor links, capacity clears) is
-        // history-dependent, and the `sb_*` counters a resumed run
-        // accumulates depend on it.
-        let sb_blocks = snap.push_blob(&self.sb_snapshot_blob());
         Json::obj([
             ("pc", hex(self.pc)),
             ("regs", regs),
@@ -912,14 +857,6 @@ impl Core {
             ("decode_count", hex(live)),
             ("decode_entries", decode_entries),
             ("sb_enabled", Json::Bool(self.sb_enabled)),
-            ("sb_count", hex(self.sb.blocks.len() as u64)),
-            ("sb_blocks", sb_blocks),
-            (
-                "sb_resume",
-                self.sb_resume.map_or(Json::Null, |r| {
-                    hex(u64::from(r.idx) << 32 | u64::from(r.entry))
-                }),
-            ),
             (
                 "itlb",
                 Json::obj([
@@ -1003,8 +940,11 @@ impl Core {
         self.instret = get_u64(j, "instret")?;
         self.halted = get_bool(j, "halted")?;
         let c = get(j, "counters")?;
-        // Superblock keys are optional so pre-superblock snapshots still
-        // restore (their recordings ran with the engine absent ≡ off).
+        // `sb_instrs_retired` is optional so pre-superblock snapshots
+        // still restore. Snapshots from the retired block engine also
+        // carry `sb_hits`, `sb_chain_follows`, `sb_invalidations` and the
+        // core keys `sb_count`, `sb_blocks` and `sb_resume`; none of them
+        // is read.
         let opt_u64 = |c: &Json, key: &str| c.get(key).map_or(Ok(0), unhex);
         self.counters = CoreCounters {
             arith_ops: get_u64(c, "arith_ops")?,
@@ -1022,10 +962,7 @@ impl Core {
             decode_invalidations: get_u64(c, "decode_invalidations")?,
             itlb_hits: get_u64(c, "itlb_hits")?,
             itlb_misses: get_u64(c, "itlb_misses")?,
-            sb_hits: opt_u64(c, "sb_hits")?,
             sb_instrs_retired: opt_u64(c, "sb_instrs_retired")?,
-            sb_chain_follows: opt_u64(c, "sb_chain_follows")?,
-            sb_invalidations: opt_u64(c, "sb_invalidations")?,
         };
         let hpm = get_arr(j, "hpm")?;
         if hpm.len() != self.hpm.len() {
@@ -1042,11 +979,11 @@ impl Core {
         let live = get_u64(j, "decode_count")?;
         let packed = snap.blob(get(j, "decode_entries")?)?;
         const REC: usize = 4 + 8 + 8 + 8 + 8 + 4 + 4;
-        if packed.len() != live as usize * REC {
+        let need = usize::try_from(live).ok().and_then(|n| n.checked_mul(REC));
+        if need != Some(packed.len()) {
             return Err(SnapError::msg(format!(
-                "decode-cache blob is {} bytes, expected {}",
-                packed.len(),
-                live as usize * REC
+                "decode-cache blob is {} bytes, {live} entries need {REC} each",
+                packed.len()
             )));
         }
         self.decode_cache = if live == 0 {
@@ -1092,28 +1029,6 @@ impl Core {
         if let Some(e) = j.get("sb_enabled") {
             self.sb_enabled = matches!(e, Json::Bool(true));
         }
-        match j.get("sb_blocks") {
-            Some(v) => {
-                let count = get_u64(j, "sb_count")?;
-                let blob = snap.blob(v)?;
-                self.sb_restore_blob(blob, count)?;
-            }
-            None => self.sb_clear(),
-        }
-        self.sb_resume = match j.get("sb_resume") {
-            None | Some(Json::Null) => None,
-            Some(v) => {
-                let packed = unhex(v)?;
-                let r = superblock::SbResume {
-                    idx: (packed >> 32) as u32,
-                    entry: packed as u32,
-                };
-                if (r.idx as usize) >= self.sb.blocks.len() {
-                    return Err(SnapError::msg("superblock resume index out of range"));
-                }
-                Some(r)
-            }
-        };
         let itlb = get(j, "itlb")?;
         self.itlb = FetchTlb {
             valid: get_bool(itlb, "valid")?,
@@ -1165,9 +1080,6 @@ impl Core {
         self.itlb.valid = false;
         self.code_lo = u64::MAX;
         self.code_hi = 0;
-        // Superblocks are built over decode-cache slots; any generation
-        // bump orphans every block.
-        self.sb_clear();
     }
 
     /// Invalidates the decoded-instruction cache and fetch µTLB — the
@@ -1175,31 +1087,22 @@ impl Core {
     /// `decode_invalidations` counter and emits a [`TraceEvent::DecodeCache`]
     /// sample when a tracer is attached.
     pub fn invalidate_decoded(&mut self) {
-        if self.sb_enabled && self.decode_enabled && !self.xpulp {
-            self.counters.sb_invalidations += 1;
-        }
         self.drop_decoded();
         self.counters.decode_invalidations += 1;
         self.trace_decode_counters();
     }
 
-    /// Enables or disables the superblock (chained basic-block) engine
-    /// layered over the decode cache. Like the decode cache itself the
-    /// engine is exact: cycles, architectural state and every non-`sb_*`
-    /// counter are bit-identical on vs. off — only wall-clock speed and
-    /// the `sb_*` telemetry change. Default: enabled (inert while the
+    /// Selects how [`Core::run`] and [`Core::run_until_cycle`] drive the
+    /// core: `true` (the default) replays decode-cache slots inline in
+    /// [`Core::run_loop`], `false` runs the plain [`Core::step`] loop. The
+    /// step loop is also the inline loop's fallback path and the
+    /// decode-on reference for tests. Both are exact: cycles,
+    /// architectural state and every counter except `sb_instrs_retired`
+    /// are bit-identical either way. The inline loop is inert while the
     /// decode cache is off or any observability hook is attached, and on
-    /// Xpulp cores).
+    /// Xpulp cores.
     pub fn set_superblocks(&mut self, enabled: bool) {
-        if self.sb_enabled != enabled {
-            self.sb_enabled = enabled;
-            self.sb_clear();
-        }
-    }
-
-    /// Whether the superblock engine is armed.
-    pub fn superblocks_enabled(&self) -> bool {
-        self.sb_enabled
+        self.sb_enabled = enabled;
     }
 
     fn trace_decode_counters(&mut self) {
@@ -1214,21 +1117,6 @@ impl Core {
                     invalidations: self.counters.decode_invalidations,
                 },
             );
-            // The superblock counter row only appears once the engine has
-            // actually dispatched, so superblocks-off traces are
-            // byte-identical to pre-superblock ones.
-            let c = &self.counters;
-            if c.sb_hits | c.sb_instrs_retired | c.sb_invalidations != 0 {
-                t.record(
-                    self.track,
-                    TraceEvent::Superblocks {
-                        hits: c.sb_hits,
-                        instrs: c.sb_instrs_retired,
-                        chains: c.sb_chain_follows,
-                        invalidations: c.sb_invalidations,
-                    },
-                );
-            }
         }
     }
 
@@ -1837,8 +1725,9 @@ impl Core {
         Ok(())
     }
 
-    /// The `Inst::MulDiv32` execution body, shared verbatim between the
-    /// interpreter and the superblock engine so the two cannot drift.
+    /// The `Inst::MulDiv32` execution body, shared verbatim between
+    /// [`Core::execute`] and [`Core::sb_inline_exec`] so the two cannot
+    /// drift.
     #[inline]
     fn exec_muldiv32(&mut self, op: MulDivOp, rd: Reg, rs1: Reg, rs2: Reg) {
         let a = self.reg(rs1) as u32;
@@ -1861,7 +1750,8 @@ impl Core {
         self.counters.arith_ops += 1;
     }
 
-    /// The `Inst::Mac` execution body (shared with the superblock engine).
+    /// The `Inst::Mac` execution body (shared with
+    /// [`Core::sb_inline_exec`]).
     #[inline]
     fn exec_mac(&mut self, rd: Reg, rs1: Reg, rs2: Reg, subtract: bool) {
         let prod = (self.reg(rs1) as u32).wrapping_mul(self.reg(rs2) as u32);
@@ -1875,8 +1765,8 @@ impl Core {
         self.counters.arith_ops += 2;
     }
 
-    /// The `Inst::PulpAlu` execution body (shared with the superblock
-    /// engine).
+    /// The `Inst::PulpAlu` execution body (shared with
+    /// [`Core::sb_inline_exec`]).
     #[inline]
     fn exec_pulp_alu(&mut self, op: PulpAluOp, rd: Reg, rs1: Reg, rs2: Reg) {
         let a = self.reg(rs1) as u32;
@@ -2153,6 +2043,11 @@ impl Core {
             // replaying `extra = 0` is exactly what the slow path would
             // charge; the bus revalidates the fetch as a hit with
             // identical side effects via `fetch_touch`.
+            //
+            // `Core::replay_slot` is the same predicate for `run_loop`,
+            // with the stamp inputs held in locals. Keep the two in step:
+            // calling one shared helper here measured slower on
+            // `pmca_offload` (DESIGN.md §8.1).
             if let Some(cache) = &self.decode_cache {
                 let e = &cache[(pc >> 1) as usize & (self.decode_entries - 1)];
                 // Branchless stamp check: OR the XOR of every u64 field so
@@ -2202,6 +2097,36 @@ impl Core {
             return self.step_decode(bus, pc, known_pa);
         }
         self.step_decode(bus, pc, None)
+    }
+
+    /// The decode-cache replay predicate of [`Core::run_loop`]: the slot
+    /// for `pc` replays when it was installed under the current decode
+    /// generation, CSR-file version, fetch epoch and privilege mode
+    /// (passed in, so the loop can hold them in locals), a paged entry
+    /// sits on a timing-stateless bus, and [`CoreBus::fetch_touch`]
+    /// revalidates the fetch as a hit with the side effects a real fetch
+    /// would have had. A `None` has no side effects. [`Core::step`]'s
+    /// replay path keeps its own copy of this predicate; keep the two in
+    /// step.
+    #[inline(always)]
+    fn replay_slot<B: CoreBus + ?Sized>(
+        &self,
+        bus: &mut B,
+        pc: u64,
+        gen: u64,
+        version: u64,
+        epoch: u64,
+        mode: PrivMode,
+    ) -> Option<&DecodedEntry> {
+        let e = &self.decode_cache.as_deref()?[(pc >> 1) as usize & (self.decode_entries - 1)];
+        // Branchless stamp check: OR the XOR of every u64 field so the
+        // common all-match case costs one predicted branch.
+        let stale = (e.gen ^ gen) | (e.va ^ pc) | (e.version ^ version) | (e.epoch ^ epoch);
+        (stale == 0
+            && e.mode == mode
+            && (!e.paged || bus.timing_stateless())
+            && bus.fetch_touch(e.pa))
+        .then_some(e)
     }
 
     /// Fetch translation that provably costs zero cycles and touches no
@@ -2311,7 +2236,6 @@ impl Core {
             let cache = self
                 .decode_cache
                 .get_or_insert_with(|| vec![DecodedEntry::DEAD; entries].into_boxed_slice());
-            self.decode_installs += 1;
             cache[(pc >> 1) as usize & (entries - 1)] = DecodedEntry {
                 va: pc,
                 pa: fetch_pa,
@@ -2908,77 +2832,16 @@ impl Core {
         max_cycles: u64,
     ) -> Result<Cycles, RvError> {
         let start = self.cycles;
-        let limit = start.get().saturating_add(max_cycles);
-        if self.sb_active() {
-            self.run_blocks(bus, u64::MAX, limit, start)?;
-            return Ok(self.cycles - start);
-        }
-        while !self.halted {
-            let out = self.step(bus)?;
-            if out.halted {
-                break;
-            }
-            if self.cycles.get() > limit {
-                return Err(RvError::Timeout {
-                    cycles: (self.cycles - start).get(),
-                });
-            }
-        }
+        self.run_loop(bus, u64::MAX, start.get().saturating_add(max_cycles))?;
         Ok(self.cycles - start)
-    }
-
-    /// The superblock run loop: whole-block dispatch with exact fallback.
-    /// Any entry the block engine cannot retire (decode-slot gone stale,
-    /// fetch no longer a zero-stall hit, pending interrupt, no block at
-    /// the current PC yet) falls back to exactly one [`Core::step`] — the
-    /// interpreter path that polls interrupts and installs decode entries
-    /// — and then returns to the dispatcher. The retire sequence, cycle
-    /// charges and every non-`sb_*` counter are bit-identical to the
-    /// plain step loop.
-    fn run_blocks<B: CoreBus + ?Sized>(
-        &mut self,
-        bus: &mut B,
-        stop_at: u64,
-        limit: u64,
-        start: Cycles,
-    ) -> Result<bool, RvError> {
-        while !self.halted && self.cycles.get() < stop_at {
-            match self.sb_run(bus, stop_at, limit)? {
-                SbExit::Halted | SbExit::Budget => break,
-                SbExit::Limit => {
-                    return Err(RvError::Timeout {
-                        cycles: (self.cycles - start).get(),
-                    })
-                }
-                SbExit::Stale | SbExit::Next => {
-                    // A block can go stale on the very retire that reaches
-                    // the budget (fence.i / satp write / SMC bump the
-                    // decode generation *after* charging cycles); the
-                    // fallback step must not run past `stop_at`.
-                    if self.cycles.get() >= stop_at {
-                        break;
-                    }
-                    let out = self.step(bus)?;
-                    if out.halted {
-                        break;
-                    }
-                    if self.cycles.get() > limit {
-                        return Err(RvError::Timeout {
-                            cycles: (self.cycles - start).get(),
-                        });
-                    }
-                }
-            }
-        }
-        Ok(self.halted)
     }
 
     /// Runs until `ebreak` or until the core's *total* cycle count reaches
     /// `target`, whichever comes first, and reports whether the core
     /// halted. Unlike [`Core::run`] reaching the target is not an error:
     /// the timeline sampler uses this to chunk a run into sampling windows
-    /// — the step sequence is identical to one uninterrupted [`Core::run`],
-    /// so chunked and unchunked runs are cycle-bit-identical.
+    /// — the retire sequence is identical to one uninterrupted
+    /// [`Core::run`], so chunked and unchunked runs are cycle-bit-identical.
     ///
     /// # Errors
     ///
@@ -2988,12 +2851,164 @@ impl Core {
         bus: &mut B,
         target: u64,
     ) -> Result<bool, RvError> {
-        if self.sb_active() {
-            return self.run_blocks(bus, target, u64::MAX, self.cycles);
+        self.run_loop(bus, target, u64::MAX)
+    }
+
+    /// Executes a *pure* instruction inline — no memory, no CSRs, no
+    /// traps, no control transfer — returning `false` without any side
+    /// effect for everything that must go through [`Core::execute`].
+    /// The bodies mirror `Core::execute` (shared helpers where they are
+    /// non-trivial), so [`Core::run_loop`]'s inline retires and the
+    /// interpreter cannot drift apart.
+    #[inline(always)]
+    fn sb_inline_exec(&mut self, va: u64, inst: &Inst) -> bool {
+        match *inst {
+            Inst::Lui { rd, imm } => self.set_reg(rd, (imm << 12) as u64),
+            Inst::Auipc { rd, imm } => self.set_reg(rd, va.wrapping_add((imm << 12) as u64)),
+            Inst::OpImm { op, rd, rs1, imm } => {
+                let v = self.alu(op, self.reg(rs1), imm as u64);
+                self.set_reg(rd, v);
+                self.counters.arith_ops += 1;
+            }
+            Inst::OpImm32 { op, rd, rs1, imm } => {
+                self.set_reg(rd, Self::alu32(op, self.reg(rs1), imm as u64));
+                self.counters.arith_ops += 1;
+            }
+            Inst::Op { op, rd, rs1, rs2 } => {
+                let v = self.alu(op, self.reg(rs1), self.reg(rs2));
+                self.set_reg(rd, v);
+                self.counters.arith_ops += 1;
+            }
+            Inst::Op32 { op, rd, rs1, rs2 } => {
+                self.set_reg(rd, Self::alu32(op, self.reg(rs1), self.reg(rs2)));
+                self.counters.arith_ops += 1;
+            }
+            Inst::MulDiv { op, rd, rs1, rs2 } => {
+                let v = self.muldiv(op, self.reg(rs1), self.reg(rs2));
+                self.set_reg(rd, v);
+                self.counters.arith_ops += 1;
+            }
+            Inst::MulDiv32 { op, rd, rs1, rs2 } => self.exec_muldiv32(op, rd, rs1, rs2),
+            // Xpulp-only: a CVA6 never decodes these. Deleting the arms
+            // slowed the CVA6's former block loop (`host_fig6` +4% to
+            // +9%) through register allocation; DESIGN.md §13.4.
+            Inst::Mac {
+                rd,
+                rs1,
+                rs2,
+                subtract,
+            } => self.exec_mac(rd, rs1, rs2, subtract),
+            Inst::PulpAlu { op, rd, rs1, rs2 } => self.exec_pulp_alu(op, rd, rs1, rs2),
+            Inst::Simd {
+                op,
+                fmt,
+                rd,
+                rs1,
+                rs2,
+                scalar_rs2,
+            } => self.exec_simd(op, fmt, rd, rs1, rs2, scalar_rs2),
+            Inst::SimdFp { op, rd, rs1, rs2 } => self.exec_simd_fp(op, rd, rs1, rs2),
+            Inst::Fence | Inst::Wfi => {}
+            _ => return false,
         }
-        while !self.halted && self.cycles.get() < target {
-            if self.step(bus)?.halted {
+        true
+    }
+
+    /// The one run loop behind [`Core::run`] (`stop_at = u64::MAX`) and
+    /// [`Core::run_until_cycle`] (`limit = u64::MAX`).
+    ///
+    /// With the inline replay armed ([`Core::set_superblocks`], on a
+    /// non-Xpulp core with the decode cache on and no observability hook)
+    /// it replays decode-cache slots by PC with the PC, cycle and instret
+    /// counts held in locals. Each slot must pass [`Core::replay_slot`],
+    /// the predicate of [`Core::step`]'s replay path, so the memory
+    /// system sees the same fetch touches and the `decode_*`/`itlb_*`
+    /// counters tick as they would under `step`. Pure entries retire
+    /// through [`Core::sb_inline_exec`]; every other entry goes through
+    /// [`Core::execute`] with the locals flushed before and reloaded
+    /// after. A slot that fails the predicate gets exactly one `step`,
+    /// which polls interrupts and installs the slot. An unchanged CSR
+    /// version proves no interrupt became takeable, exactly as on the
+    /// replay path of `step`.
+    ///
+    /// The budget is checked before every entry and the limit after
+    /// every retire, so a chunked run stops on the same retire boundary
+    /// as an unchunked one. The loop keeps no state between calls.
+    fn run_loop<B: CoreBus + ?Sized>(
+        &mut self,
+        bus: &mut B,
+        stop_at: u64,
+        limit: u64,
+    ) -> Result<bool, RvError> {
+        let start = self.cycles;
+        let timeout = |core: &Core| RvError::Timeout {
+            cycles: (core.cycles - start).get(),
+        };
+        let inline = self.sb_enabled && self.decode_enabled && !self.xpulp && !self.observe;
+        while !self.halted && self.cycles.get() < stop_at {
+            if inline {
+                let mut pc = self.pc;
+                let mut cycles = self.cycles.get();
+                let mut instret = self.instret;
+                // The stamp inputs change only through `execute`.
+                let mut gen = self.decode_gen;
+                let mut version = self.csrs.version();
+                let mut epoch = bus.fetch_epoch();
+                let mut mode = self.priv_mode;
+                while cycles < stop_at {
+                    let Some(e) = self.replay_slot(bus, pc, gen, version, epoch, mode) else {
+                        break;
+                    };
+                    let (inst, ilen, word, cost, paged) = (e.inst, e.ilen, e.word, e.cost, e.paged);
+                    self.counters.decode_hits += 1;
+                    self.counters.itlb_hits += u64::from(paged);
+                    self.counters.sb_instrs_retired += 1;
+                    if self.sb_inline_exec(pc, &inst) {
+                        pc = pc.wrapping_add(u64::from(ilen));
+                        cycles += u64::from(cost);
+                        instret += 1;
+                        if cycles > limit {
+                            break;
+                        }
+                        continue;
+                    }
+                    self.pc = pc;
+                    self.cycles = Cycles::new(cycles);
+                    self.instret = instret;
+                    let out = self.execute(
+                        bus,
+                        pc,
+                        inst,
+                        u64::from(ilen),
+                        word,
+                        u64::from(cost),
+                        Cycles::ZERO,
+                    )?;
+                    (pc, cycles, instret) = (self.pc, self.cycles.get(), self.instret);
+                    if out.halted || cycles > limit {
+                        break;
+                    }
+                    gen = self.decode_gen;
+                    version = self.csrs.version();
+                    epoch = bus.fetch_epoch();
+                    mode = self.priv_mode;
+                }
+                self.pc = pc;
+                self.cycles = Cycles::new(cycles);
+                self.instret = instret;
+                if !self.halted && cycles > limit {
+                    return Err(timeout(self));
+                }
+                if self.halted || cycles >= stop_at {
+                    break;
+                }
+            }
+            let out = self.step(bus)?;
+            if out.halted {
                 break;
+            }
+            if self.cycles.get() > limit {
+                return Err(timeout(self));
             }
         }
         Ok(self.halted)
@@ -4182,5 +4197,245 @@ mod tests {
         // 5 back-edges for 6 iterations.
         assert_eq!(c.reg(Reg::A1), 5);
         assert_eq!(c.stats().get("hwloop_iters"), 5);
+    }
+
+    /// Assembles `build`, runs it three ways — inline replay on, inline
+    /// replay off (decode cache still on), and decode cache off entirely
+    /// — and asserts bit-identical cycles, instret, registers and
+    /// architectural digest across all three, and every counter but
+    /// `sb_instrs_retired` across the first two. Returns the inline run.
+    fn assert_replay_neutral(xlen: Xlen, build: impl Fn(&mut Asm)) -> Core {
+        let mut a = Asm::new(xlen);
+        build(&mut a);
+        a.ebreak();
+        let words = a.assemble().expect("assemble");
+        let run = |decode: bool, inline: bool| {
+            let mut bus = FlatBus::new(1 << 16);
+            bus.load_words(0, &words);
+            let mut core = match xlen {
+                Xlen::Rv64 => Core::cva6(),
+                Xlen::Rv32 => Core::ri5cy(0),
+            };
+            core.set_decode_cache(decode);
+            core.set_superblocks(inline);
+            core.set_reg(Reg::Sp, 0x8000);
+            core.run(&mut bus, 1_000_000).expect("run");
+            core
+        };
+        let fast = run(true, true);
+        for other in [run(true, false), run(false, true)] {
+            assert_eq!(fast.cycles(), other.cycles(), "cycle neutrality");
+            assert_eq!(fast.instret(), other.instret());
+            assert_eq!(fast.state_digest(), other.state_digest());
+            for r in Reg::ALL {
+                assert_eq!(fast.reg(r), other.reg(r), "register {r:?}");
+            }
+        }
+        let plain = run(true, false).stats();
+        assert_eq!(plain.get("sb_instrs_retired"), 0);
+        let fs = fast.stats();
+        let rest: Vec<_> = fs
+            .iter()
+            .filter(|(k, _)| *k != "sb_instrs_retired")
+            .collect();
+        assert_eq!(rest, plain.iter().collect::<Vec<_>>());
+        fast
+    }
+
+    #[test]
+    fn hot_loop_retires_inline() {
+        let fast = assert_replay_neutral(Xlen::Rv64, |a| {
+            a.li(Reg::A0, 0);
+            a.li(Reg::T0, 300);
+            let top = a.label();
+            a.bind(top);
+            a.add(Reg::A0, Reg::A0, Reg::T0);
+            a.sd(Reg::A0, Reg::Sp, 0);
+            a.ld(Reg::A1, Reg::Sp, 0);
+            a.addi(Reg::T0, Reg::T0, -1);
+            a.bnez(Reg::T0, top);
+        });
+        let s = fast.stats();
+        assert!(
+            s.get("sb_instrs_retired") > 1_000,
+            "the inline loop must carry the loop"
+        );
+        // Only the first pass over each slot decodes.
+        assert!(s.get("decode_misses") < 20, "{s:?}");
+    }
+
+    #[test]
+    fn xpulp_core_runs_hw_loop_through_decode_cache_only() {
+        // A hardware-loop kernel with a post-increment load, a MAC and a
+        // decode-cache flush: a RI5CY core stays on the step loop, so the
+        // run equals the decode-cache-only one in every counter too.
+        let fast = assert_replay_neutral(Xlen::Rv32, |a| {
+            a.li(Reg::A0, 0x4000);
+            a.fence_i();
+            a.lp_counti(0, 40);
+            let (s, e) = (a.label(), a.label());
+            a.lp_starti(0, s);
+            a.lp_endi(0, e);
+            a.bind(s);
+            a.p_lw_post(Reg::T1, Reg::A0, 4);
+            a.xor(Reg::A2, Reg::A2, Reg::T1);
+            a.p_mac(Reg::A4, Reg::A5, Reg::A6);
+            a.bind(e);
+        });
+        let s = fast.stats();
+        assert_eq!(s.get("hwloop_iters"), 39);
+        assert_eq!(s.get("decode_invalidations"), 1);
+        assert!(s.get("decode_hits") >= 3 * 39, "the loop replays decoded");
+        assert!(s.iter().all(|(k, _)| !k.starts_with("sb_")), "{s:?}");
+    }
+
+    #[test]
+    fn branch_into_run_interior_stays_exact() {
+        // The back-edge targets the *middle* of the straight-line run
+        // entered from the top.
+        let fast = assert_replay_neutral(Xlen::Rv64, |a| {
+            a.li(Reg::T1, 50);
+            a.addi(Reg::T6, Reg::T6, 3);
+            let mid = a.label();
+            a.bind(mid);
+            a.addi(Reg::T6, Reg::T6, 1);
+            a.xor(Reg::T2, Reg::T2, Reg::T6);
+            a.addi(Reg::T1, Reg::T1, -1);
+            a.bnez(Reg::T1, mid);
+        });
+        assert!(fast.stats().get("sb_instrs_retired") > 100);
+    }
+
+    #[test]
+    fn smc_patching_own_tail_is_exact() {
+        // A two-iteration loop whose store rewrites a *later* slot of the
+        // same straight-line run: the replay executing the store must
+        // not retire the stale slot after it.
+        let patch = crate::encode::encode(&Inst::OpImm {
+            op: AluOp::Add,
+            rd: Reg::A0,
+            rs1: Reg::A0,
+            imm: 77,
+        })
+        .unwrap();
+        let fast = assert_replay_neutral(Xlen::Rv64, |a| {
+            a.li(Reg::T1, 2);
+            let slot = a.label();
+            let top = a.label();
+            a.bind(top);
+            a.la(Reg::T0, slot);
+            a.li(Reg::T2, patch as i64);
+            a.sw(Reg::T2, Reg::T0, 0);
+            a.fence_i();
+            a.bind(slot);
+            a.addi(Reg::A0, Reg::A0, 1); // becomes `addi a0, a0, 77`
+            a.addi(Reg::T1, Reg::T1, -1);
+            a.bnez(Reg::T1, top);
+        });
+        assert_eq!(fast.reg(Reg::A0), 77 + 77, "both passes ran patched bytes");
+        assert!(fast.stats().get("decode_invalidations") >= 1);
+    }
+
+    /// A 5-instruction ALU loop of `iters` iterations, then `ebreak`.
+    fn alu_loop(iters: i64) -> Vec<u32> {
+        let mut a = Asm::new(Xlen::Rv64);
+        a.li(Reg::A0, 0);
+        a.li(Reg::T0, iters);
+        let top = a.label();
+        a.bind(top);
+        a.add(Reg::A0, Reg::A0, Reg::T0);
+        a.slli(Reg::A1, Reg::A0, 1);
+        a.xor(Reg::A2, Reg::A2, Reg::A1);
+        a.addi(Reg::T0, Reg::T0, -1);
+        a.bnez(Reg::T0, top);
+        a.ebreak();
+        a.assemble().unwrap()
+    }
+
+    /// Drives `core` to its halt in `chunk`-cycle `run_until_cycle` slices.
+    fn finish_chunked(core: &mut Core, bus: &mut FlatBus, chunk: u64) {
+        for _ in 0..1_000_000 {
+            if core
+                .run_until_cycle(bus, core.cycles().get() + chunk)
+                .unwrap()
+            {
+                return;
+            }
+        }
+        panic!("chunked run must finish");
+    }
+
+    #[test]
+    fn chunked_budget_runs_match_uninterrupted() {
+        // `run_until_cycle` in 1-, 3- and 7-cycle slices must retire the
+        // same stream — and count the same telemetry — as one
+        // uninterrupted `run`; budgets land mid-run on purpose.
+        let words = alu_loop(60);
+        let fresh = || {
+            let mut bus = FlatBus::new(1 << 16);
+            bus.load_words(0, &words);
+            (Core::cva6(), bus)
+        };
+        let (mut whole, mut wbus) = fresh();
+        whole.run(&mut wbus, 1_000_000).unwrap();
+        for chunk in [1u64, 3, 7] {
+            let (mut core, mut bus) = fresh();
+            finish_chunked(&mut core, &mut bus, chunk);
+            assert_eq!(core.cycles(), whole.cycles(), "chunk {chunk}");
+            assert_eq!(core.state_digest(), whole.state_digest(), "chunk {chunk}");
+            assert_eq!(
+                format!("{:?}", core.stats()),
+                format!("{:?}", whole.stats()),
+                "telemetry must be chunk-invariant (chunk {chunk})"
+            );
+        }
+    }
+
+    #[test]
+    fn snapshot_roundtrip_mid_run_is_exact() {
+        // A 7-cycle budget lands inside the 5-instruction loop body, so
+        // the checkpoint is taken mid-run with the decode cache warm.
+        let words = alu_loop(80);
+        let mut bus = FlatBus::new(1 << 16);
+        bus.load_words(0, &words);
+        let mut core = Core::cva6();
+        for _ in 0..5 {
+            core.run_until_cycle(&mut bus, core.cycles().get() + 7)
+                .unwrap();
+        }
+        assert!(core.stats().get("sb_instrs_retired") > 0);
+
+        let mut snap = hulkv_sim::Snapshot::new();
+        let section = core.snapshot_into(&mut snap);
+        let mut twin = Core::cva6();
+        twin.restore_from(&snap, &section).unwrap();
+        let mut again = hulkv_sim::Snapshot::new();
+        assert_eq!(twin.snapshot_into(&mut again), section);
+        assert_eq!(again, snap);
+
+        // Both finish under the same chunking; every counter must agree.
+        let mut tbus = bus.clone();
+        finish_chunked(&mut core, &mut bus, 7);
+        finish_chunked(&mut twin, &mut tbus, 7);
+        assert_eq!(core.state_digest(), twin.state_digest());
+        assert_eq!(core.cycles(), twin.cycles());
+        assert_eq!(format!("{:?}", core.stats()), format!("{:?}", twin.stats()));
+    }
+
+    #[test]
+    fn restore_rejects_overflowing_decode_count() {
+        // 2^62 records of 44 bytes wrap to 0 bytes in 64-bit arithmetic,
+        // which would match an empty blob.
+        use hulkv_sim::{snap::hex, Json};
+        let (core, _) = run_rv64(|a| a.addi(Reg::A0, Reg::A0, 1));
+        let mut snap = hulkv_sim::Snapshot::new();
+        let mut section = core.snapshot_into(&mut snap);
+        let empty = snap.push_blob(&[]);
+        let Json::Obj(fields) = &mut section else {
+            panic!("core section is an object")
+        };
+        fields.insert("decode_count".into(), hex(1 << 62));
+        fields.insert("decode_entries".into(), empty);
+        assert!(Core::cva6().restore_from(&snap, &section).is_err());
     }
 }

@@ -666,13 +666,12 @@ impl Inst {
 
     /// Whether this instruction ends a superblock / basic block.
     ///
-    /// This is the **shared boundary predicate**: the superblock engine
-    /// (`crates/rv/src/superblock.rs`) stops decoding a straight-line run
-    /// after one of these, and the static analyzer's CFG recovery
-    /// (`crates/analyze/src/cfg.rs`) ends a basic block at the same set —
-    /// keeping both views of "where control flow can leave" from ever
-    /// drifting apart. The set is every instruction whose *successor is
-    /// not statically the next PC* or that can alter
+    /// This is the **boundary predicate** of the static analyzer's CFG
+    /// recovery (`crates/analyze/src/cfg.rs`), which ends a basic block
+    /// after one of these. (The block engine that named it, retired in
+    /// favour of the run loop's inline decode-cache replay, ended its
+    /// blocks at the same set.) The set is every instruction whose
+    /// *successor is not statically the next PC* or that can alter
     /// fetch/translation/interrupt state mid-run: jumps, branches, traps
     /// and returns, `fence.i` (decode-cache flush), CSR accesses
     /// (satp/mstatus/mie… can change translation or make an interrupt
@@ -789,6 +788,49 @@ impl Error for RvError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn boundary_predicate_matches_engine_terminators() {
+        // `ends_superblock` is the single source of truth of the CFG
+        // analyzer's block ends; spot-check the interesting members of
+        // each class.
+        let ends = [
+            Inst::Jal {
+                rd: Reg::Zero,
+                offset: 8,
+            },
+            Inst::Branch {
+                cond: BranchCond::Eq,
+                rs1: Reg::A0,
+                rs2: Reg::A1,
+                offset: 8,
+            },
+            Inst::Ecall,
+            Inst::FenceI,
+            Inst::Csr {
+                op: CsrOp::Rw,
+                rd: Reg::Zero,
+                csr: 0x180,
+                src: CsrSrc::Reg(Reg::A0),
+            },
+        ];
+        for i in &ends {
+            assert!(i.ends_superblock(), "{i:?} must terminate a block");
+        }
+        let flows = [
+            Inst::OpImm {
+                op: AluOp::Add,
+                rd: Reg::A0,
+                rs1: Reg::A0,
+                imm: 1,
+            },
+            Inst::Fence,
+            Inst::Wfi,
+        ];
+        for i in &flows {
+            assert!(!i.ends_superblock(), "{i:?} must not terminate a block");
+        }
+    }
 
     #[test]
     fn reg_index_round_trip() {

@@ -264,10 +264,13 @@ impl Snapshot {
         }
         out.fill(0);
         self.visit_pages(desc, |idx, page| {
-            let start = idx as usize * SNAP_PAGE_SIZE;
-            if start >= out.len() {
+            let Some(start) = usize::try_from(idx)
+                .ok()
+                .and_then(|i| i.checked_mul(SNAP_PAGE_SIZE))
+                .filter(|&start| start < out.len())
+            else {
                 return Err(SnapError::msg(format!("page {idx:#x} beyond image")));
-            }
+            };
             let n = (out.len() - start).min(SNAP_PAGE_SIZE);
             out[start..start + n].copy_from_slice(&page[..n]);
             Ok(())
@@ -288,10 +291,10 @@ impl Snapshot {
         let count = get_u64(desc, "count")?;
         let data = self.blob(get(desc, "data")?)?;
         let rec = 8 + SNAP_PAGE_SIZE;
-        if data.len() != count as usize * rec {
+        let need = usize::try_from(count).ok().and_then(|c| c.checked_mul(rec));
+        if need != Some(data.len()) {
             return Err(SnapError::msg(format!(
-                "paged image: {count} records need {:#x} bytes, have {:#x}",
-                count as usize * rec,
+                "paged image: {count} records of {rec:#x} bytes, have {:#x}",
                 data.len()
             )));
         }
@@ -430,6 +433,37 @@ mod tests {
         assert_eq!(out, img);
         let mut wrong = vec![0u8; img.len() + 1];
         assert!(s.restore_pages(&d, &mut wrong).is_err());
+    }
+
+    #[test]
+    fn page_count_overflow_is_an_error() {
+        // 2^62 records of 8 + 4096 bytes wrap to 0 bytes in 64-bit
+        // arithmetic, which would match an empty blob.
+        let mut s = Snapshot::new();
+        let data = s.push_blob(&[]);
+        let d = Json::obj([
+            ("size", hex(SNAP_PAGE_SIZE as u64)),
+            ("count", hex(1 << 62)),
+            ("data", data),
+        ]);
+        assert!(s.visit_pages(&d, |_, _| Ok(())).is_err());
+    }
+
+    #[test]
+    fn page_index_overflow_is_an_error() {
+        // Page 2^52 starts at 2^64 bytes, which wraps to offset 0.
+        let mut rec = (1u64 << 52).to_le_bytes().to_vec();
+        rec.extend_from_slice(&[0xEE; SNAP_PAGE_SIZE]);
+        let mut s = Snapshot::new();
+        let data = s.push_blob(&rec);
+        let d = Json::obj([
+            ("size", hex(SNAP_PAGE_SIZE as u64)),
+            ("count", hex(1)),
+            ("data", data),
+        ]);
+        let mut out = vec![0u8; SNAP_PAGE_SIZE];
+        assert!(s.restore_pages(&d, &mut out).is_err());
+        assert!(out.iter().all(|&b| b == 0), "page written out of place");
     }
 
     #[test]

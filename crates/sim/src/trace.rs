@@ -258,18 +258,6 @@ pub enum TraceEvent {
         /// Whole-cache invalidations so far.
         invalidations: u64,
     },
-    /// A superblock-engine counter sample (emitted alongside
-    /// [`TraceEvent::DecodeCache`]; exported as a Chrome counter track).
-    Superblocks {
-        /// Fresh block dispatches so far.
-        hits: u64,
-        /// Instructions retired through block execution so far.
-        instrs: u64,
-        /// Direct-threaded block-to-block transitions so far.
-        chains: u64,
-        /// Architectural invalidations that dropped the block store.
-        invalidations: u64,
-    },
     /// The cluster race sanitizer observed conflicting cross-hart TCDM
     /// accesses to one word within a single inter-sync window (emitted
     /// once per conflicting word, at the quantum merge that first proves
@@ -310,7 +298,7 @@ impl TraceEvent {
             TraceEvent::OffloadBegin { .. }
             | TraceEvent::OffloadEnd { .. }
             | TraceEvent::TeamQuantum { .. } => category::OFFLOAD,
-            TraceEvent::DecodeCache { .. } | TraceEvent::Superblocks { .. } => category::DECODE,
+            TraceEvent::DecodeCache { .. } => category::DECODE,
             TraceEvent::IopmpDeny { .. }
             | TraceEvent::Misaligned { .. }
             | TraceEvent::TcdmRace { .. } => category::PROTECT,
@@ -335,7 +323,6 @@ impl TraceEvent {
             TraceEvent::OffloadEnd { .. } => "offload",
             TraceEvent::TeamQuantum { .. } => "team_quantum",
             TraceEvent::DecodeCache { .. } => "decode_cache",
-            TraceEvent::Superblocks { .. } => "superblocks",
             TraceEvent::IopmpDeny { .. } => "iopmp_deny",
             TraceEvent::Misaligned { .. } => "misaligned",
             TraceEvent::TcdmRace { .. } => "tcdm_race",
@@ -430,17 +417,6 @@ impl TraceEvent {
             } => Json::obj([
                 ("hits", Json::from(hits)),
                 ("misses", Json::from(misses)),
-                ("invalidations", Json::from(invalidations)),
-            ]),
-            TraceEvent::Superblocks {
-                hits,
-                instrs,
-                chains,
-                invalidations,
-            } => Json::obj([
-                ("hits", Json::from(hits)),
-                ("instrs", Json::from(instrs)),
-                ("chains", Json::from(chains)),
                 ("invalidations", Json::from(invalidations)),
             ]),
         }
@@ -680,10 +656,7 @@ impl Tracer {
                 ("ts", Json::from(r.ts)),
                 ("args", r.event.args()),
             ];
-            if matches!(
-                r.event,
-                TraceEvent::DecodeCache { .. } | TraceEvent::Superblocks { .. }
-            ) {
+            if matches!(r.event, TraceEvent::DecodeCache { .. }) {
                 // Counter samples render as a stacked counter track.
                 pairs.push(("ph", Json::from("C")));
             } else if r.dur > 0 {

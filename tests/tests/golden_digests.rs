@@ -110,31 +110,31 @@ fn cluster_tiled_conv() -> Golden {
 /// one row per line as `check` prints them.
 #[rustfmt::skip]
 const GOLDEN: [(&str, u64, u64, u64, u64, u64); 21] = [
-    ("matmul-int8", 2950101, 2150659, 0x8ed8e7ffdc39652b, 0xa54540dcb2d1bc67, 0x7a3fe33a71a2c192),
-    ("matmul-int32", 2960597, 2158851, 0x501d58d49c290a85, 0xd8dd42918f5d9a44, 0x1e74345b4bc8bafb),
-    ("conv2d-int8", 54530, 41102, 0xb921a8ceb0ac532a, 0x467868968ac6d3f5, 0x1b9b2f520bdd93c0),
-    ("fir-int16", 190683, 142339, 0x062b0e93dc30efdc, 0x34faeff9feb739c6, 0x9c0a77a0e15af23a),
-    ("relu-int8", 86814, 69618, 0x9e6ebbd41e122b4d, 0x90df6efa93397a47, 0x5ad8ebbeab589428),
-    ("maxpool-int8", 29074, 20714, 0x38613ef6eb07b271, 0xf73a561fdfe24dd6, 0x0fb123c434b6a1b3),
-    ("matmul-fp16", 3222741, 1896707, 0xfb8f670c12ee15ef, 0xeb19fc56836bcbd6, 0x2ce73ac7b9787c16),
-    ("dotp-fp32", 26129, 16391, 0x4f144f8793351f12, 0x459478b550e2f4d9, 0xe2ca7b91ae2adfc0),
-    ("axpy-fp32", 28176, 18438, 0xadb191f3bf51467c, 0xe5699eaec4c8e4e9, 0x8b0efbe6f3b3966d),
-    ("sweep-48x200", 2077871, 71407, 0x2c2c635fdd75c86f, 0x479b0b68478b1233, 0xd581847cba2e56e4),
-    ("traced-maxpool-int8", 29074, 20714, 0x38613ef6eb07b271, 0xc72e53f1979e1de0, 0x687fbd184052b853),
-    ("cluster-matmul-int8", 28851, 171416, 0x22b0923e29b358c2, 0xb4fd03a555e44b0e, 0xa994f5b3606a083d),
-    ("cluster-matmul-int32", 138425, 848344, 0x1fee3f24e23d3f23, 0x44618ee6a57a50c7, 0x7c9ce3cc8a67ac56),
-    ("cluster-conv2d-int8", 6954, 31984, 0xf78a8e210c6e2709, 0x8bc6e9cdae466c74, 0x1c6a253e7606cc82),
-    ("cluster-fir-int16", 7700, 37912, 0xbfd3ef9eb1499e2e, 0x1ecd0015cf24fee5, 0xe68ddb6041dfc830),
-    ("cluster-relu-int8", 4355, 16432, 0x2284009ac64e6248, 0xc1803ecf07d6ab92, 0xf8ad0f6f79a09ce1),
-    ("cluster-maxpool-int8", 2787, 6024, 0xa0c21494fde0c1e0, 0x6b16e424b7f9ea49, 0x842124a167ad2415),
-    ("cluster-matmul-fp16", 75065, 455128, 0xc9854b8ed7edb84d, 0x4047f180b03e8d6d, 0x588d9c1c5f48a61e),
-    ("cluster-dotp-fp32", 3273, 10352, 0x80b246fe1fc39ea4, 0x23c77e8d7165f1da, 0xb93600d17415671c),
-    ("cluster-axpy-fp32", 3612, 12376, 0x8534183bf8e77412, 0x33d73220e013a6db, 0xcbfe592e39e4d11b),
-    ("cluster-tiled-conv-258x130", 390578, 1018624, 0x98ece640cf1a4d0a, 0x3af966041399e2c8, 0x43d1c979895b1048),
+    ("matmul-int8", 2950101, 2150659, 0x8ed8e7ffdc39652b, 0x12e45fc58cfc863f, 0xc297c600354dda12),
+    ("matmul-int32", 2960597, 2158851, 0x501d58d49c290a85, 0x5be6de440eaca789, 0x464cb16ab023b13f),
+    ("conv2d-int8", 54530, 41102, 0xb921a8ceb0ac532a, 0xee6f039c59b382a7, 0x969f9fceeca19af0),
+    ("fir-int16", 190683, 142339, 0x062b0e93dc30efdc, 0x4cb325189e8fa31c, 0x6d1c85e2abc281f7),
+    ("relu-int8", 86814, 69618, 0x9e6ebbd41e122b4d, 0x3bcf29d85d803413, 0x2472fe0b7cc6ba6e),
+    ("maxpool-int8", 29074, 20714, 0x38613ef6eb07b271, 0x003edd609e19db8b, 0x43af7e28e3c2db68),
+    ("matmul-fp16", 3222741, 1896707, 0xfb8f670c12ee15ef, 0x00ba5671eeb30cfd, 0x09c9f23963a4afab),
+    ("dotp-fp32", 26129, 16391, 0x4f144f8793351f12, 0x7f5ffe9a519f8861, 0xe1ef0e247a2093e9),
+    ("axpy-fp32", 28176, 18438, 0xadb191f3bf51467c, 0xfb9c23604d89a565, 0xa65fafbb452fbdf5),
+    ("sweep-48x200", 2077871, 71407, 0x2c2c635fdd75c86f, 0x03b46c5372d4365e, 0xe50928f716272512),
+    ("traced-maxpool-int8", 29074, 20714, 0x38613ef6eb07b271, 0x97e596c8df713b12, 0xf1391e73c008314a),
+    ("cluster-matmul-int8", 28851, 171416, 0x22b0923e29b358c2, 0xb4fd03a555e44b0e, 0x5625b181c6ca58e4),
+    ("cluster-matmul-int32", 138425, 848344, 0x1fee3f24e23d3f23, 0x44618ee6a57a50c7, 0xd4bb21c75ff93e13),
+    ("cluster-conv2d-int8", 6954, 31984, 0xf78a8e210c6e2709, 0x8bc6e9cdae466c74, 0xf06d3075db538757),
+    ("cluster-fir-int16", 7700, 37912, 0xbfd3ef9eb1499e2e, 0x1ecd0015cf24fee5, 0x30ef78bc66622be5),
+    ("cluster-relu-int8", 4355, 16432, 0x2284009ac64e6248, 0xc1803ecf07d6ab92, 0xe64db62eac1d2aa2),
+    ("cluster-maxpool-int8", 2787, 6024, 0xa0c21494fde0c1e0, 0x6b16e424b7f9ea49, 0x0febdb1245e99b16),
+    ("cluster-matmul-fp16", 75065, 455128, 0xc9854b8ed7edb84d, 0x4047f180b03e8d6d, 0x5701095e05612141),
+    ("cluster-dotp-fp32", 3273, 10352, 0x80b246fe1fc39ea4, 0x23c77e8d7165f1da, 0x1af502942535343b),
+    ("cluster-axpy-fp32", 3612, 12376, 0x8534183bf8e77412, 0x33d73220e013a6db, 0xe4d01b56c5f4fec2),
+    ("cluster-tiled-conv-258x130", 390578, 1018624, 0x98ece640cf1a4d0a, 0x3af966041399e2c8, 0x9b7827d1cd5c7e61),
 ];
 
 /// FNV-1a of the traced run's JSONL trace export.
-const TRACED_EVENTS_HASH: u64 = 0x18d5_dbe0_ec60_f3c9;
+const TRACED_EVENTS_HASH: u64 = 0x55ff_4be6_480a_2f93;
 
 fn expected(run: &str) -> Golden {
     let &(_, cycles, instret, state_digest, metrics_hash, snapshot_hash) = GOLDEN

@@ -8,7 +8,9 @@ use hulkv_host::{Clint, Plic};
 use hulkv_mem::{shared, Sram};
 use hulkv_rv::csr::addr;
 use hulkv_rv::{Asm, Core, FlatBus, Reg, Xlen};
+use hulkv_sim::snap::hex;
 use hulkv_sim::{Cycles, Json, Snapshot};
+use std::collections::BTreeMap;
 
 /// Every interrupt-fabric block must contribute to the digest: mutating
 /// any one of CLINT, PLIC, mailbox or IOPMP state flips it.
@@ -110,32 +112,86 @@ fn snapshot_round_trip_is_byte_identical() {
     );
 }
 
+/// The object at `key` of the JSON object `j`.
+fn obj_mut<'a>(j: &'a mut Json, key: &str) -> &'a mut BTreeMap<String, Json> {
+    let Json::Obj(top) = j else {
+        panic!("not an object")
+    };
+    let Some(Json::Obj(inner)) = top.get_mut(key) else {
+        panic!("no {key:?} object")
+    };
+    inner
+}
+
 /// `config`, a `SocConfig::to_json` document, as written while
-/// `ClusterConfig` still had a `superblocks` field, with that key set to
-/// `value`.
-fn with_cluster_superblocks(mut config: Json, value: Json) -> Json {
-    let Json::Obj(top) = &mut config else {
-        panic!("config is an object")
-    };
-    let Some(Json::Obj(cluster)) = top.get_mut("cluster") else {
-        panic!("config has a cluster object")
-    };
-    assert!(cluster.insert("superblocks".into(), value).is_none());
+/// `HostConfig` (`section = "host"`) or `ClusterConfig` (`"cluster"`)
+/// still had a `superblocks` field, with that key set to `value`.
+fn with_retired_superblocks(mut config: Json, section: &str, value: Json) -> Json {
+    let inner = obj_mut(&mut config, section);
+    assert!(inner.insert("superblocks".into(), value).is_none());
     config
 }
 
 /// The retired key still loads: type-checked as a bool, then ignored.
-#[test]
-fn retired_cluster_superblocks_key_is_checked_then_ignored() {
+fn retired_superblocks_key_is_checked_then_ignored(section: &str) {
     let cfg = SocConfig::default();
     for b in [true, false] {
-        let old = with_cluster_superblocks(cfg.to_json(), Json::Bool(b));
+        let old = with_retired_superblocks(cfg.to_json(), section, Json::Bool(b));
         assert_eq!(SocConfig::from_json(&old), Ok(cfg.clone()));
     }
-    let bad = with_cluster_superblocks(cfg.to_json(), Json::Str("0x1".into()));
+    let bad = with_retired_superblocks(cfg.to_json(), section, Json::Str("0x1".into()));
     let err = SocConfig::from_json(&bad).expect_err("a non-bool must not load");
     assert!(err.to_string().contains("superblocks"), "{err}");
     assert_eq!(SocConfig::from_json(&cfg.to_json()), Ok(cfg));
+}
+
+#[test]
+fn retired_cluster_superblocks_key_is_checked_then_ignored() {
+    retired_superblocks_key_is_checked_then_ignored("cluster");
+}
+
+#[test]
+fn retired_host_superblocks_key_is_checked_then_ignored() {
+    retired_superblocks_key_is_checked_then_ignored("host");
+    let json = SocConfig::default().to_json();
+    assert_eq!(json.get("host").unwrap().get("superblocks"), None);
+}
+
+/// A snapshot written by the retired block engine: the current format
+/// plus its core keys (`sb_count`, the `sb_blocks` blob, an armed
+/// `sb_resume`), its three retired counters and `host.superblocks`.
+/// Restores to the same machine and re-snapshots to the current bytes.
+#[test]
+fn snapshot_from_the_block_engine_restores() {
+    let mut soc = HulkV::new(SocConfig::default()).unwrap();
+    soc.run_host_program(&counting_program(), |_| {}, 1_000_000)
+        .unwrap();
+    let current = soc.snapshot();
+    let mut snap = current.clone();
+    let config = snap.section("config").unwrap().clone();
+    snap.set_section(
+        "config",
+        with_retired_superblocks(config, "host", Json::Bool(true)),
+    );
+    let blocks = snap.push_blob(&[0xA5; 37]);
+    let mut host = snap.section("host").unwrap().clone();
+    let core = obj_mut(&mut host, "core");
+    core.insert("sb_count".into(), hex(1));
+    core.insert("sb_blocks".into(), blocks);
+    core.insert("sb_resume".into(), hex(3));
+    let Some(Json::Obj(counters)) = core.get_mut("counters") else {
+        panic!("core section has counters")
+    };
+    for key in ["sb_hits", "sb_chain_follows", "sb_invalidations"] {
+        assert!(counters.insert(key.into(), hex(7)).is_none());
+    }
+    snap.set_section("host", host);
+
+    let parsed = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+    let restored = HulkV::from_snapshot(&parsed).unwrap();
+    assert_eq!(restored.config(), &SocConfig::default());
+    assert_eq!(restored.state_digest(), soc.state_digest());
+    assert_eq!(restored.snapshot().to_bytes(), current.to_bytes());
 }
 
 /// A snapshot whose config carries the retired key restores to the same
@@ -149,7 +205,10 @@ fn snapshot_with_retired_cluster_superblocks_key_restores() {
     for old in [true, false] {
         let mut snap = current.clone();
         let config = snap.section("config").unwrap().clone();
-        snap.set_section("config", with_cluster_superblocks(config, Json::Bool(old)));
+        snap.set_section(
+            "config",
+            with_retired_superblocks(config, "cluster", Json::Bool(old)),
+        );
 
         let parsed = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
         let restored = HulkV::from_snapshot(&parsed).unwrap();

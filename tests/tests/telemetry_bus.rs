@@ -142,8 +142,8 @@ fn exposition_of_a_published_snapshot_is_pinned() {
     let metrics = fnv(bus.render_metrics());
     let json = fnv(bus.snapshot_json());
     println!("render_metrics {metrics:#018x}, snapshot_json {json:#018x}");
-    assert_eq!(metrics, 0x1531_0ef0_be7f_55e1, "/metrics exposition moved");
-    assert_eq!(json, 0x68b5_c477_51d5_2d07, "/snapshot JSON moved");
+    assert_eq!(metrics, 0x74f2_8741_36da_2bdd, "/metrics exposition moved");
+    assert_eq!(json, 0xe59b_debc_0d6a_1bc7, "/snapshot JSON moved");
 }
 
 /// `/metrics` serves the last published snapshot and nothing older: a

@@ -56,11 +56,12 @@ echo "== differential fuzz (fixed seed) + live telemetry scrape =="
 # inline replay loop driven through run_until_cycle vs the decode-off
 # interpreter, synced at random offsets within straight-line runs;
 # Xpulp cores stay on the step loop), and
-# every cluster team program runs a second time:
-# serial executor vs thread-pool executor through the quantum engine,
-# with hart-striped racing TCDM traffic and digests compared at every
-# quantum boundary; any architectural or cycle divergence fails the
-# gate and leaves a minimized repro in fuzz/repros/.
+# every cluster team program runs a second time through the quantum
+# engine: cores stepped in hart order vs a step-order permutation drawn
+# from the program seed, with hart-striped racing TCDM traffic and
+# digests compared at every quantum boundary; any architectural or cycle
+# divergence fails the gate and leaves a minimized repro per diverging
+# side in fuzz/repros/.
 # The campaign ends with the race-detector oracle: pools of known-racy
 # and known-race-free TCDM hammer teams through the static cross-hart
 # pass and the sanitized team run. fuzz_iss already exits non-zero on
@@ -121,6 +122,31 @@ cat "$tmp/fuzz.log"
 grep -qE 'race_oracle: .*hammer_confirmed=[1-9]' "$tmp/fuzz.log"
 grep -qE 'race_oracle: .*striped_flagged=0 striped_raced=0' "$tmp/fuzz.log"
 
+echo "== fuzz_iss reports every diverging side (injected divergence) =="
+# --inject-divergence corrupts the fast side a few retires in, in the
+# harnesses that have an injection point: the per-retire lockstep of the
+# bare RV64 and RV32 sides and the chunked lockstep of the host side (the
+# cluster harnesses have none). With seed 1 and one program per side all
+# three diverge: the campaign must exit 1 and leave exactly one shrunk
+# repro for each of them, not stop at the first.
+inject_status=0
+target/release/fuzz_iss --inject-divergence --seed 1 --programs 1 --heartbeat 0 \
+  --repro-dir "$tmp/inject" > "$tmp/inject.log" 2>&1 || inject_status=$?
+repros="$(ls "$tmp/inject" 2>/dev/null || true)"
+for side in Rv64Sv39 Rv32Pulp Rv64Host; do
+  if [ "$(grep -c "^repro_${side}_" <<< "$repros")" -ne 1 ]; then
+    cat "$tmp/inject.log"
+    echo "ci.sh: injected campaign left no single $side repro: $repros" >&2
+    exit 1
+  fi
+done
+if [ "$inject_status" -ne 1 ] || [ "$(wc -l <<< "$repros")" -ne 3 ]; then
+  cat "$tmp/inject.log"
+  echo "ci.sh: injected campaign exited $inject_status with repros: $repros" >&2
+  exit 1
+fi
+grep -q 'fuzz_iss: 4 programs, 3 divergences' "$tmp/inject.log"
+
 echo "== TCDM race gate (static + dynamic + neutrality) =="
 # Static half: the guest-program lint above already diffed the cluster
 # catalog (including the deliberately racy race-demo fixture) against
@@ -135,10 +161,10 @@ if grep 'striped-accumulate' "$tmp/race.log" | grep -q 'tcdm-race'; then
   exit 1
 fi
 # Neutrality half: the cluster's sanitizer test group proves the race
-# set invariant across worker counts, step orders and quantum lengths,
-# and that sanitizer-off runs are cycle- and digest-identical to
-# sanitizer-on (tests/tests/golden_digests.rs re-checks neutrality on the
-# int8 matmul offload at 1 and 3 workers and with the sanitizer on).
+# set invariant across step orders and quantum lengths, and that
+# sanitizer-off runs are cycle- and digest-identical to sanitizer-on
+# (tests/tests/golden_digests.rs re-checks neutrality on the int8 matmul
+# offload with the sanitizer on).
 cargo test --release -q -p hulkv-cluster sanitizer
 
 echo "== telemetry export (table2) =="

@@ -1,4 +1,4 @@
-//! Quantum-based deterministic-parallel team execution.
+//! Quantum-based deterministic team execution.
 //!
 //! [`Cluster::run_team`] used to step each core of a team sequentially to
 //! completion over shared memory. This module replaces that loop with a
@@ -8,18 +8,18 @@
 //! for instruction bytes), and all interactions with shared state — TCDM
 //! stores, instruction-line fills through the shared L1.5, external (AXI)
 //! accesses — are resolved **canonically, in hart-id order**, at
-//! synchronization points driven by the master.
+//! synchronization points driven by the master loop.
 //!
 //! Because every shared interaction is resolved in an order that depends
-//! only on hart ids and quantum indices (never on host thread timing),
-//! cycles, [`Stats`], `TeamResult` and every state digest are bit-identical
-//! whether the team runs on one worker thread or many, and run-to-run.
-//! The serial executor and the thread-pool executor share this master loop
-//! verbatim; the only difference is *where* `CoreRunner::round` executes.
+//! only on hart ids and quantum indices, cycles, [`Stats`], `TeamResult`
+//! and every state digest are independent of the order in which the
+//! cores of a round are stepped, and bit-identical run-to-run. The
+//! step-order permutation ([`Cluster::run_team_permuted`]) exists to test
+//! exactly that.
 //!
 //! # The pause protocol
 //!
-//! A worker cannot touch shared state mid-quantum, so the per-core bus
+//! A core cannot touch shared state mid-quantum, so the per-core bus
 //! *pauses* the core instead: when a fetch needs an instruction line that
 //! is not yet in the per-team line store, or a data access leaves the
 //! TCDM/perf windows, the bus records the request and returns a bus error.
@@ -27,13 +27,12 @@
 //! handlers write registers only after their bus accesses succeed), so the
 //! core is left exactly at the faulting instruction. The master services
 //! all pending requests of a round in hart-id order against the real
-//! shared devices, sends the responses back, and the cores retry. Requests
+//! shared devices, hands the responses back, and the cores retry. Requests
 //! and retries are a pure function of simulation state, so the pause
-//! pattern itself is deterministic and identical across worker counts.
+//! pattern itself is deterministic and identical for every step order.
 
 use crate::pmca::{
-    Cluster, ClusterConfig, CorePerf, RaceRecord, TeamResult, PERF_BASE, PERF_WINDOW_BYTES,
-    TCDM_BASE,
+    Cluster, CorePerf, RaceRecord, TeamResult, PERF_BASE, PERF_WINDOW_BYTES, TCDM_BASE,
 };
 use hulkv_mem::MemoryDevice;
 use hulkv_rv::{Core, CoreBus, Reg, RvError};
@@ -41,7 +40,8 @@ use hulkv_sim::{
     convert_freq, Cycles, EngineProfile, Fnv64, Freq, SharedTracer, SimError, TraceEvent, Track,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Granularity of TCDM dirty tracking and boundary merges.
 const PAGE_BYTES: usize = 256;
@@ -59,11 +59,11 @@ fn pause_error() -> SimError {
 }
 
 // ---------------------------------------------------------------------------
-// Plain-data messages (everything crossing a thread boundary is Send).
+// Round messages between the master loop and the core runners.
 // ---------------------------------------------------------------------------
 
-/// Everything a worker needs to construct a core and its private view.
-#[derive(Debug, Clone)]
+/// Everything needed to construct a core and its private view.
+#[derive(Debug)]
 struct LaunchSpec {
     hartid: u64,
     entry: u64,
@@ -145,9 +145,6 @@ enum RoundStatus {
 #[derive(Debug)]
 struct RoundOutput {
     status: RoundStatus,
-    /// Host wall time this round spent inside `CoreRunner::round`
-    /// (self-profiling only — never enters guest-visible state).
-    busy_ns: u64,
     /// Pages dirtied since the last boundary patch (full page contents).
     /// Sent on every report so an abort mid-quantum can still merge.
     dirty: DirtyPages,
@@ -158,7 +155,7 @@ struct RoundOutput {
     shadow: AccessShadow,
 }
 
-/// Final per-core results, extracted on the worker at halt.
+/// Final per-core results, extracted by the runner at halt.
 #[derive(Debug, Clone)]
 struct ExitInfo {
     cycles: Cycles,
@@ -176,7 +173,7 @@ struct ExitInfo {
 }
 
 // ---------------------------------------------------------------------------
-// The per-core private view (the worker-side bus).
+// The per-core private view (the core-side bus).
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -544,7 +541,7 @@ impl CoreBus for QuantumBus {
 }
 
 // ---------------------------------------------------------------------------
-// The per-core runner (lives on whichever thread owns the core).
+// The per-core runner.
 // ---------------------------------------------------------------------------
 
 struct CoreRunner {
@@ -581,7 +578,6 @@ impl CoreRunner {
     }
 
     fn round(&mut self, input: RoundInput) -> RoundOutput {
-        let round_t0 = std::time::Instant::now();
         if let Some(patch) = &input.patch {
             for (page, bytes) in patch.iter() {
                 let p = *page as usize;
@@ -693,7 +689,6 @@ impl CoreRunner {
             } else {
                 Vec::new()
             },
-            busy_ns: round_t0.elapsed().as_nanos() as u64,
             status,
         }
     }
@@ -749,157 +744,30 @@ impl CoreRunner {
 }
 
 // ---------------------------------------------------------------------------
-// Executors: same master loop, different placement of the runners.
-// ---------------------------------------------------------------------------
-
-enum Executor {
-    /// All runners on the calling thread, stepped in `order` (the order is
-    /// semantically irrelevant — the permutation test proves it).
-    Serial {
-        runners: Vec<CoreRunner>,
-        order: Vec<usize>,
-    },
-    Parallel(Pool),
-}
-
-impl Executor {
-    /// Runs one round for every `(hartid, input)` in `batch` and returns
-    /// the outputs keyed (and therefore iterated) in hart-id order.
-    fn round(&mut self, batch: Vec<(usize, RoundInput)>) -> BTreeMap<usize, RoundOutput> {
-        match self {
-            Executor::Serial { runners, order } => {
-                let mut inputs: Vec<Option<RoundInput>> = Vec::new();
-                inputs.resize_with(runners.len(), || None);
-                for (h, i) in batch {
-                    inputs[h] = Some(i);
-                }
-                let mut out = BTreeMap::new();
-                for &h in order.iter() {
-                    if let Some(input) = inputs[h].take() {
-                        out.insert(h, runners[h].round(input));
-                    }
-                }
-                out
-            }
-            Executor::Parallel(pool) => pool.round(batch),
-        }
-    }
-
-    /// The worker id a hart's rounds execute on (the serial executor is
-    /// one logical worker: the master's own thread).
-    fn worker_of(&self, h: usize) -> usize {
-        match self {
-            Executor::Serial { .. } => 0,
-            Executor::Parallel(pool) => pool.assign[h],
-        }
-    }
-
-    /// Tears the executor down and returns the cores it owned, for
-    /// recycling into the next team. Parallel workers keep their cores
-    /// pinned to the worker thread (`Core` is not `Send`), so only the
-    /// serial executor yields spares.
-    fn shutdown(self) -> Vec<Core> {
-        match self {
-            Executor::Serial { runners, .. } => runners.into_iter().map(|r| r.core).collect(),
-            Executor::Parallel(pool) => {
-                drop(pool.txs);
-                for h in pool.handles {
-                    let _ = h.join();
-                }
-                Vec::new()
-            }
-        }
-    }
-}
-
-/// A team-lifetime thread pool. Cores are constructed *inside* their
-/// worker thread (they hold non-`Send` tracer slots) and stay pinned to
-/// it; only plain-data round messages cross threads.
-struct Pool {
-    txs: Vec<mpsc::Sender<Vec<(usize, RoundInput)>>>,
-    rx: mpsc::Receiver<(usize, RoundOutput)>,
-    assign: Vec<usize>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl Pool {
-    fn spawn(specs: &[LaunchSpec], workers: usize) -> Pool {
-        let workers = workers.min(specs.len()).max(1);
-        let (out_tx, rx) = mpsc::channel();
-        let assign: Vec<usize> = (0..specs.len()).map(|h| h % workers).collect();
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (tx, in_rx) = mpsc::channel::<Vec<(usize, RoundInput)>>();
-            let mine: Vec<LaunchSpec> = specs
-                .iter()
-                .enumerate()
-                .filter(|(h, _)| h % workers == w)
-                .map(|(_, s)| s.clone())
-                .collect();
-            let out = out_tx.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut runners: BTreeMap<usize, CoreRunner> = mine
-                    .iter()
-                    .map(|s| (s.hartid as usize, CoreRunner::launch(s, None, None)))
-                    .collect();
-                while let Ok(batch) = in_rx.recv() {
-                    for (h, input) in batch {
-                        let o = runners
-                            .get_mut(&h)
-                            .expect("hart scheduled on wrong worker")
-                            .round(input);
-                        if out.send((h, o)).is_err() {
-                            return;
-                        }
-                    }
-                }
-            }));
-            txs.push(tx);
-        }
-        Pool {
-            txs,
-            rx,
-            assign,
-            handles,
-        }
-    }
-
-    fn round(&mut self, batch: Vec<(usize, RoundInput)>) -> BTreeMap<usize, RoundOutput> {
-        let n = batch.len();
-        let mut per: Vec<Vec<(usize, RoundInput)>> = vec![Vec::new(); self.txs.len()];
-        for (h, i) in batch {
-            per[self.assign[h]].push((h, i));
-        }
-        for (w, b) in per.into_iter().enumerate() {
-            if !b.is_empty() {
-                self.txs[w].send(b).expect("worker thread gone");
-            }
-        }
-        let mut out = BTreeMap::new();
-        for _ in 0..n {
-            let (h, o) = self.rx.recv().expect("worker thread died");
-            out.insert(h, o);
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The master loop.
 // ---------------------------------------------------------------------------
 
-/// Resolves the configured worker count: 0 means "one per available host
-/// core" (resolved at run time so serialized configs stay
-/// machine-independent).
-pub(crate) fn resolved_workers(cfg: &ClusterConfig) -> usize {
-    if cfg.workers == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        cfg.workers
+/// Runs one round for every `(hartid, input)` in `batch`, stepping the
+/// runners in `order` (semantically irrelevant — the permutation tests
+/// prove it), and returns the outputs keyed (and therefore iterated) in
+/// hart-id order.
+fn step_round(
+    runners: &mut [CoreRunner],
+    order: &[usize],
+    batch: Vec<(usize, RoundInput)>,
+) -> BTreeMap<usize, RoundOutput> {
+    let mut inputs: Vec<Option<RoundInput>> = Vec::new();
+    inputs.resize_with(runners.len(), || None);
+    for (h, i) in batch {
+        inputs[h] = Some(i);
     }
+    let mut out = BTreeMap::new();
+    for &h in order {
+        if let Some(input) = inputs[h].take() {
+            out.insert(h, runners[h].round(input));
+        }
+    }
+    out
 }
 
 pub(crate) fn run_team(
@@ -936,47 +804,33 @@ pub(crate) fn run_team(
         Arc::new(buf)
     };
     let collect_digest = observer.is_some();
-    let specs: Vec<LaunchSpec> = (0..num_cores)
-        .map(|hartid| LaunchSpec {
-            hartid: hartid as u64,
-            entry,
-            args: args.to_vec(),
-            sp: tcdm_top - (hartid * cfg.stack_bytes) as u64,
-            decode_cache: cfg.decode_cache,
-            image: image.clone(),
-            priv_sets: (cfg.icache_private_bytes / 32).max(1).next_power_of_two(),
-            conflict_q16,
-            cluster_freq: cfg.freq,
-            soc_freq: cfg.soc_freq,
-            collect_digest,
-            sanitize: cfg.race_sanitizer,
+    let order: Vec<usize> = order.map_or_else(|| (0..num_cores).collect(), <[usize]>::to_vec);
+    let mut seen = order.clone();
+    seen.sort_unstable();
+    assert!(
+        seen.into_iter().eq(0..num_cores),
+        "order must be a permutation of 0..num_cores"
+    );
+    // Halted cores of the previous team are reset and reused.
+    let mut runners: Vec<CoreRunner> = (0..num_cores)
+        .map(|hartid| {
+            let spec = LaunchSpec {
+                hartid: hartid as u64,
+                entry,
+                args: args.to_vec(),
+                sp: tcdm_top - (hartid * cfg.stack_bytes) as u64,
+                decode_cache: cfg.decode_cache,
+                image: image.clone(),
+                priv_sets: (cfg.icache_private_bytes / 32).max(1).next_power_of_two(),
+                conflict_q16,
+                cluster_freq: cfg.freq,
+                soc_freq: cfg.soc_freq,
+                collect_digest,
+                sanitize: cfg.race_sanitizer,
+            };
+            CoreRunner::launch(&spec, cl.tracer.clone(), cl.spare_cores.pop())
         })
         .collect();
-    if let Some(o) = order {
-        let mut seen: Vec<usize> = o.to_vec();
-        seen.sort_unstable();
-        assert!(
-            seen == (0..num_cores).collect::<Vec<_>>(),
-            "order must be a permutation of 0..num_cores"
-        );
-    }
-    // Tracing pins cores to the master thread (the tracer is shared and
-    // not Send); an explicit step order is a serial-executor concept.
-    let workers = resolved_workers(&cfg).min(num_cores);
-    let mut spares = std::mem::take(&mut cl.spare_cores);
-    let mut exec = if workers > 1 && cl.tracer.is_none() && order.is_none() {
-        Executor::Parallel(Pool::spawn(&specs, workers))
-    } else {
-        Executor::Serial {
-            runners: specs
-                .iter()
-                .map(|s| CoreRunner::launch(s, cl.tracer.clone(), spares.pop()))
-                .collect(),
-            order: order
-                .map(<[usize]>::to_vec)
-                .unwrap_or_else(|| (0..num_cores).collect()),
-        }
-    };
 
     // The canonical TCDM image is the SRAM's own buffer, mutated in place
     // at merge points. Holding the borrow for the whole team is safe: the
@@ -1016,15 +870,9 @@ pub(crate) fn run_team(
         if !batch.is_empty() {
             n_rounds += 1;
             q_rounds += 1;
-            let round_t0 = profile.as_ref().map(|_| std::time::Instant::now());
-            let outs = exec.round(batch);
-            if let (Some(p), Some(t0)) = (profile.as_ref(), round_t0) {
-                let busy: Vec<(usize, u64)> = outs
-                    .iter()
-                    .map(|(&h, o)| (exec.worker_of(h), o.busy_ns))
-                    .collect();
-                p.record_round(t0.elapsed().as_nanos() as u64, &busy);
-            }
+            let round_t0 = profile.as_ref().map(|_| Instant::now());
+            let outs = step_round(&mut runners, &order, batch);
+            let busy_ns = round_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
             let mut caps: Vec<LineMsg> = Vec::new();
             let mut cap_requesters: Vec<usize> = Vec::new();
             let mut any_pause = false;
@@ -1124,6 +972,9 @@ pub(crate) fn run_team(
                         input.new_lines.push(msg.clone());
                     }
                 }
+            }
+            if let (Some(p), Some(t0)) = (profile.as_ref(), round_t0) {
+                p.record_round(t0.elapsed().as_nanos() as u64, busy_ns);
             }
             if failure.is_some() {
                 break 'team;
@@ -1225,11 +1076,9 @@ pub(crate) fn run_team(
             );
         }
     }
-    spares.extend(exec.shutdown());
-    cl.spare_cores = spares;
-    // Every bus and spec clone of the image is gone once the executor is
-    // down; reclaim its buffer for the next team.
-    drop(specs);
+    cl.spare_cores.extend(runners.into_iter().map(|r| r.core));
+    // Every bus clone of the image went with its runner; reclaim the
+    // buffer for the next team.
     cl.spare_image = Arc::try_unwrap(image).ok();
     if let Some(e) = failure {
         return Err(e);
@@ -1283,7 +1132,7 @@ pub(crate) fn run_team(
 
     // The final race set is derived from the final cumulative masks (not
     // from when each conflict was first detected), so it is invariant
-    // across worker counts, step orders and quantum lengths.
+    // across step orders and quantum lengths.
     let races: Vec<RaceRecord> = shadow_cum
         .iter()
         .filter(|&(_, &(readers, writers))| is_conflict(readers, writers))
@@ -1376,9 +1225,9 @@ fn fold_shadow(
 /// Applies each core's dirty pages onto the canonical image, ascending by
 /// hart id, with write-elision semantics: a byte equal to its pre-quantum
 /// canonical value is unobservable as a write, so only differing bytes
-/// land (and later harts overwrite earlier ones — a fixed, thread-count-
-/// independent resolution order). Returns the pages whose canonical
-/// contents changed, for broadcast back to the workers.
+/// land (and later harts overwrite earlier ones — a fixed resolution
+/// order, independent of the step order). Returns the pages whose
+/// canonical contents changed, for broadcast back to the cores.
 fn merge_dirty(canonical: &mut [u8], dirty: &[DirtyPages]) -> DirtyPages {
     let mut olds: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
     for pages in dirty {

@@ -66,22 +66,22 @@ pub struct ClusterConfig {
     /// Whether the cores use the simulator's decoded-instruction cache
     /// (host-side fast path; cycle-neutral, off only for ablation runs).
     pub decode_cache: bool,
-    /// Cycle quantum of the deterministic-parallel team engine: cores
-    /// simulate in lock-step windows of this many cluster cycles, with all
+    /// Cycle quantum of the deterministic team engine: cores simulate in
+    /// lock-step windows of this many cluster cycles, with all
     /// shared-state interactions resolved canonically at the boundaries.
     ///
-    /// For a fixed quantum, results are bit-identical for every `workers`
-    /// setting and run-to-run. The quantum itself is a *model* parameter
-    /// (serialized with the SoC config): it sets the granularity at which
-    /// one core's TCDM stores become visible to its peers, so programs
-    /// that race on shared words can legitimately compute different values
-    /// under different quanta. Race-free programs (and all timing,
-    /// conflict, and cache counters) are quantum-invariant.
+    /// For a fixed quantum, results are bit-identical run-to-run. The
+    /// quantum itself is a *model* parameter (serialized with the SoC
+    /// config): it sets the granularity at which one core's TCDM stores
+    /// become visible to its peers, so programs that race on shared words
+    /// can legitimately compute different values under different quanta.
+    /// Race-free programs (and all timing, conflict, and cache counters)
+    /// are quantum-invariant.
     pub quantum_cycles: u64,
-    /// Worker threads for team execution: `0` = one per available host
-    /// core (resolved at run time, so serialized configs stay
-    /// machine-independent), `1` = fully serial, `n` = exactly `n`.
-    /// Results are bit-identical for every setting.
+    /// Ignored: the team engine steps every core on the calling thread.
+    /// The field stays only because the `bench/` package assigns it, and
+    /// `SocConfig` keeps its `workers` key so serialized configs
+    /// round-trip unchanged.
     pub workers: usize,
     /// Enables the word-granularity TCDM race sanitizer: each core's
     /// quantum logs a per-page read/write shadow, and the canonical merge
@@ -152,8 +152,8 @@ pub struct CorePerf {
 /// race sanitizer ([`ClusterConfig::race_sanitizer`]): at least two harts
 /// wrote it, or one hart wrote it and another read it, within the same
 /// inter-sync window. The masks are the *final* cumulative access sets of
-/// the run, so the reported race set is invariant across worker counts,
-/// core step orders and quantum lengths.
+/// the run, so the reported race set is invariant across core step orders
+/// and quantum lengths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RaceRecord {
     /// SoC address of the conflicting TCDM word.
@@ -215,9 +215,9 @@ pub struct Cluster {
     // from recycled cores is bit-identical to one from fresh cores.
     pub(crate) spare_cores: Vec<hulkv_rv::Core>,
     /// Recycled backing buffer for the per-team start-of-team TCDM image
-    /// (reclaimed from the `Arc` once the last worker drops its clone), so
-    /// a team launch costs one memcpy instead of a fresh 128 KiB
-    /// allocation and its page faults.
+    /// (reclaimed from the `Arc` once the last core's view drops its
+    /// clone), so a team launch costs one memcpy instead of a fresh
+    /// 128 KiB allocation and its page faults.
     pub(crate) spare_image: Option<Vec<u8>>,
     /// Optional wall-clock self-profile for the quantum engine. Strictly
     /// host-side: recording never touches `stats`, cycles, or digests.
@@ -274,7 +274,7 @@ impl Cluster {
     }
 
     /// Attaches a wall-clock self-profile: every subsequent team records
-    /// its sync-round wall time, per-worker busy time, and quantum count
+    /// its sync-round wall time, core-stepping time, and quantum count
     /// onto `profile`. Guest-visible state is untouched — a profiled run
     /// is bit-identical to an unprofiled one.
     pub fn set_profile(&mut self, profile: EngineProfile) {
@@ -506,11 +506,11 @@ impl Cluster {
     /// differentiate through the `mhartid` CSR), run to `ebreak`, and join
     /// at the event-unit barrier.
     ///
-    /// Execution uses the quantum-based deterministic-parallel engine
-    /// ([`ClusterConfig::workers`], [`ClusterConfig::quantum_cycles`]):
-    /// results, cycles and all counters are bit-identical for every worker
-    /// count. With a tracer attached the team runs serially so per-hart
-    /// retire events stay on the shared trace.
+    /// Execution uses the deterministic quantum engine
+    /// ([`ClusterConfig::quantum_cycles`]): every core runs against a
+    /// private view, and every shared interaction resolves in hart-id
+    /// order, so results, cycles and all counters are bit-identical
+    /// run-to-run.
     ///
     /// Returns the team timing; TCDM contents carry the results.
     ///
@@ -528,39 +528,15 @@ impl Cluster {
         engine::run_team(self, entry, args, num_cores, max_cycles, None, None)
     }
 
-    /// [`Cluster::run_team`] with a quantum observer: `observe(quantum,
-    /// digest)` fires at every quantum boundary with a digest over the
-    /// merged TCDM image and each core's architectural state and cycle
-    /// count. Two runs that produce the same digest stream agree on all
-    /// guest-visible state at every boundary — the lockstep probe the
-    /// differential fuzzer compares single- vs multi-threaded.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Cluster::run_team`].
-    pub fn run_team_observed(
-        &mut self,
-        entry: u64,
-        args: &[(Reg, u64)],
-        num_cores: usize,
-        max_cycles: u64,
-        observe: &mut dyn FnMut(u64, u64),
-    ) -> Result<TeamResult, RvError> {
-        engine::run_team(
-            self,
-            entry,
-            args,
-            num_cores,
-            max_cycles,
-            Some(observe),
-            None,
-        )
-    }
-
     /// [`Cluster::run_team`] stepping the cores of each round in an
-    /// arbitrary `order` (a permutation of `0..num_cores`) on the serial
-    /// executor. Results are independent of the order — the determinism
-    /// test suite shuffles it to prove no hidden iteration-order coupling.
+    /// arbitrary `order` (a permutation of `0..num_cores`), with an
+    /// optional quantum observer. Results are independent of the order —
+    /// the determinism tests and the fuzzer shuffle it to prove no hidden
+    /// iteration-order coupling. `observe(quantum, digest)` fires at every
+    /// quantum boundary with a digest over the merged TCDM image and each
+    /// core's architectural state and cycle count, so two runs that produce
+    /// the same digest stream agree on all guest-visible state at every
+    /// boundary.
     ///
     /// Not a public API: test scaffolding for this crate and the fuzzer.
     ///
@@ -579,8 +555,17 @@ impl Cluster {
         num_cores: usize,
         max_cycles: u64,
         order: &[usize],
+        observe: Option<&mut dyn FnMut(u64, u64)>,
     ) -> Result<TeamResult, RvError> {
-        engine::run_team(self, entry, args, num_cores, max_cycles, None, Some(order))
+        engine::run_team(
+            self,
+            entry,
+            args,
+            num_cores,
+            max_cycles,
+            observe,
+            Some(order),
+        )
     }
 }
 
@@ -695,7 +680,9 @@ mod tests {
         assert_eq!(d.rounds, profiled.stats().get("sync_rounds"));
         assert_eq!(d.quanta, profiled.stats().get("quanta"));
         assert!(d.round_wall_ns > 0);
-        assert!(d.worker_busy_ns.iter().sum::<u64>() > 0);
+        assert_eq!(d.worker_busy_ns.len(), 1, "one executor");
+        assert!(d.worker_busy_ns[0] > 0);
+        assert!(d.worker_busy_ns[0] <= d.round_wall_ns);
         assert!(profiled.profile().is_some());
     }
 
@@ -972,9 +959,8 @@ mod tests {
         a.assemble().unwrap()
     }
 
-    fn run_contended(words: &[u32], workers: usize, quantum_cycles: u64) -> (Cluster, TeamResult) {
+    fn run_contended(words: &[u32], quantum_cycles: u64) -> (Cluster, TeamResult) {
         let cfg = ClusterConfig {
-            workers,
             quantum_cycles,
             ..ClusterConfig::default()
         };
@@ -984,56 +970,34 @@ mod tests {
     }
 
     #[test]
-    fn results_bit_identical_across_worker_counts() {
-        let words = contention_program(100);
-        let (c1, r1) = run_contended(&words, 1, 4096);
-        for workers in [2, 3, 8] {
-            let (cn, rn) = run_contended(&words, workers, 4096);
-            assert_eq!(r1, rn, "TeamResult diverged at {workers} workers");
-            assert_eq!(
-                c1.state_digest(),
-                cn.state_digest(),
-                "state digest diverged at {workers} workers"
-            );
-            assert_eq!(
-                c1.stats(),
-                cn.stats(),
-                "cluster stats diverged at {workers} workers"
-            );
-        }
-    }
-
-    #[test]
     fn recycled_cores_are_bit_identical_to_fresh() {
-        // Only the serial executor returns halted cores to the spare pool
-        // (pool workers keep theirs pinned to the worker thread), so a
-        // 1-worker cluster relaunches its second team on *recycled* cores
-        // — decoded-entry caches retained under a bumped generation, the
-        // reclaimed TCDM image buffer — while a 2-worker cluster builds
-        // its second team's cores *fresh*. After identical first teams
-        // both clusters carry identical warm shared state (L1.5 I-cache),
-        // so any second-team difference is recycling leaking through.
+        // Every team returns its halted cores to the spare pool, so the
+        // second team of a cluster runs on *recycled* cores — decoded-entry
+        // caches retained under a bumped generation, the reclaimed TCDM
+        // image buffer. The fresh side drops both before its second team
+        // and so builds it from scratch. After identical first teams both
+        // clusters carry identical warm shared state (L1.5 I-cache), so any
+        // second-team difference is recycling leaking through.
         let words = contention_program(100);
-        let run_two_teams = |workers: usize| {
-            let cfg = ClusterConfig {
-                workers,
-                ..ClusterConfig::default()
-            };
-            let mut cl = Cluster::new(cfg, soc_with_program(&words));
+        let run_two_teams = |recycle: bool| {
+            let mut cl = Cluster::new(ClusterConfig::default(), soc_with_program(&words));
             let mut tcdm = vec![0u8; cl.config().tcdm_bytes()];
             cl.tcdm_read(0, &mut tcdm).unwrap();
             let r1 = cl.run_team(0x8000_0000, &[], 8, 1_000_000).unwrap();
-            let recycled = !cl.spare_cores.is_empty();
+            assert_eq!(cl.spare_cores.len(), 8, "halted cores must be kept");
+            assert!(cl.spare_image.is_some(), "the image buffer must be kept");
+            if !recycle {
+                cl.spare_cores.clear();
+                cl.spare_image = None;
+            }
             cl.tcdm_write(0, &tcdm).unwrap();
             let r2 = cl.run_team(0x8000_0000, &[], 8, 1_000_000).unwrap();
-            (r1, r2, recycled)
+            (r1, r2)
         };
-        let (serial1, serial2, serial_pooled) = run_two_teams(1);
-        let (pool1, pool2, pool_pooled) = run_two_teams(2);
-        assert!(serial_pooled, "serial run must exercise core recycling");
-        assert!(!pool_pooled, "pool run must rebuild cores fresh");
-        assert_eq!(serial1, pool1, "first teams must agree");
-        assert_eq!(serial2, pool2, "recycled team diverged from fresh cores");
+        let (recycled1, recycled2) = run_two_teams(true);
+        let (fresh1, fresh2) = run_two_teams(false);
+        assert_eq!(recycled1, fresh1, "first teams must agree");
+        assert_eq!(recycled2, fresh2, "recycled team diverged from fresh cores");
     }
 
     #[test]
@@ -1065,7 +1029,7 @@ mod tests {
         store_result_per_hart(&mut a, Reg::A0);
         a.ebreak();
         let words = a.assemble().unwrap();
-        let (c1, r1) = run_contended(&words, 4, 4096);
+        let (c1, r1) = run_contended(&words, 4096);
         // Scheduler telemetry necessarily scales with the quantum count;
         // every *model* counter must not.
         let model_keys = [
@@ -1083,7 +1047,7 @@ mod tests {
             "team_cycles",
         ];
         for quantum in [64, 1023, 1_000_000] {
-            let (cn, rn) = run_contended(&words, 4, quantum);
+            let (cn, rn) = run_contended(&words, quantum);
             assert_eq!(r1, rn, "TeamResult diverged at quantum {quantum}");
             assert_eq!(c1.state_digest(), cn.state_digest());
             for key in model_keys {
@@ -1098,19 +1062,23 @@ mod tests {
 
     #[test]
     fn results_independent_of_core_step_order() {
-        // The determinism audit this PR exists for: shuffle the serial
-        // executor's per-round core step order and demand bit-identical
+        // Shuffle the per-round core step order and demand bit-identical
         // outcomes. Any hidden cross-core coupling through shared state
-        // (the old engine's `conflict_q16` accumulator being the suspect)
-        // would surface here.
+        // (the old engine's `conflict_q16` accumulator being the suspect),
+        // or a master that serviced a round's outputs in step order rather
+        // than hart-id order, would surface here.
         let words = contention_program(60);
-        let cfg = ClusterConfig {
-            workers: 1,
-            ..ClusterConfig::default()
-        };
+        let cfg = ClusterConfig::default();
         let mut base = Cluster::new(cfg.clone(), soc_with_program(&words));
         let r_base = base
-            .run_team_permuted(0x8000_0000, &[], 8, 1_000_000, &[0, 1, 2, 3, 4, 5, 6, 7])
+            .run_team_permuted(
+                0x8000_0000,
+                &[],
+                8,
+                1_000_000,
+                &[0, 1, 2, 3, 4, 5, 6, 7],
+                None,
+            )
             .unwrap();
         for order in [
             [7, 6, 5, 4, 3, 2, 1, 0],
@@ -1119,7 +1087,7 @@ mod tests {
         ] {
             let mut c = Cluster::new(cfg.clone(), soc_with_program(&words));
             let r = c
-                .run_team_permuted(0x8000_0000, &[], 8, 1_000_000, &order)
+                .run_team_permuted(0x8000_0000, &[], 8, 1_000_000, &order, None)
                 .unwrap();
             assert_eq!(r_base, r, "TeamResult depends on step order {order:?}");
             assert_eq!(base.state_digest(), c.state_digest());
@@ -1128,30 +1096,27 @@ mod tests {
     }
 
     #[test]
-    fn observer_digest_streams_match_across_worker_counts() {
+    fn observer_digest_streams_match_across_step_orders() {
         let words = contention_program(100);
         let mut streams: Vec<Vec<(u64, u64)>> = Vec::new();
-        for workers in [1usize, 4] {
+        for order in [[0, 1, 2, 3, 4, 5, 6, 7], [6, 3, 0, 7, 1, 4, 2, 5]] {
             let cfg = ClusterConfig {
-                workers,
                 quantum_cycles: 256,
                 ..ClusterConfig::default()
             };
             let mut c = Cluster::new(cfg, soc_with_program(&words));
             let mut stream = Vec::new();
-            c.run_team_observed(0x8000_0000, &[], 8, 1_000_000, &mut |q, d| {
-                stream.push((q, d));
-            })
-            .unwrap();
+            let mut observe = |q, d| stream.push((q, d));
+            c.run_team_permuted(0x8000_0000, &[], 8, 1_000_000, &order, Some(&mut observe))
+                .unwrap();
             streams.push(stream);
         }
         assert!(streams[0].len() > 3, "expected several quanta at Q=256");
         assert_eq!(streams[0], streams[1], "per-quantum digests diverged");
     }
 
-    fn run_sanitized(words: &[u32], workers: usize, quantum_cycles: u64) -> (Cluster, TeamResult) {
+    fn run_sanitized(words: &[u32], quantum_cycles: u64) -> (Cluster, TeamResult) {
         let cfg = ClusterConfig {
-            workers,
             quantum_cycles,
             race_sanitizer: true,
             ..ClusterConfig::default()
@@ -1185,12 +1150,12 @@ mod tests {
     }
 
     #[test]
-    fn sanitizer_race_set_invariant_across_workers_and_quanta() {
+    fn sanitizer_race_set_invariant_across_quanta() {
         // The race set is computed from the final cumulative shadow
         // masks, so it must be bit-identical however the run is chopped
-        // into quanta or spread over workers.
+        // into quanta.
         let words = contention_program(100);
-        let (_, base) = run_sanitized(&words, 1, 4096);
+        let (_, base) = run_sanitized(&words, 4096);
         assert!(!base.races.is_empty(), "contended program must race");
         let addrs: Vec<u64> = base.races.iter().map(|r| r.addr).collect();
         assert!(addrs.contains(&(TCDM_BASE + 0x40)));
@@ -1199,11 +1164,11 @@ mod tests {
         for r in &base.races {
             assert_eq!(r.writers, 0xFF, "{r:?}");
         }
-        for (workers, quantum) in [(2, 4096), (8, 4096), (1, 64), (4, 1023), (3, 1_000_000)] {
-            let (_, rn) = run_sanitized(&words, workers, quantum);
+        for quantum in [64, 1023, 1_000_000] {
+            let (_, rn) = run_sanitized(&words, quantum);
             assert_eq!(
                 base.races, rn.races,
-                "race set diverged at {workers} workers, quantum {quantum}"
+                "race set diverged at quantum {quantum}"
             );
         }
     }
@@ -1212,19 +1177,25 @@ mod tests {
     fn sanitizer_race_set_invariant_across_step_orders() {
         let words = contention_program(60);
         let cfg = ClusterConfig {
-            workers: 1,
             race_sanitizer: true,
             ..ClusterConfig::default()
         };
         let mut base = Cluster::new(cfg.clone(), soc_with_program(&words));
         let r_base = base
-            .run_team_permuted(0x8000_0000, &[], 8, 1_000_000, &[0, 1, 2, 3, 4, 5, 6, 7])
+            .run_team_permuted(
+                0x8000_0000,
+                &[],
+                8,
+                1_000_000,
+                &[0, 1, 2, 3, 4, 5, 6, 7],
+                None,
+            )
             .unwrap();
         assert!(!r_base.races.is_empty());
         for order in [[7, 6, 5, 4, 3, 2, 1, 0], [3, 1, 4, 0, 7, 5, 2, 6]] {
             let mut c = Cluster::new(cfg.clone(), soc_with_program(&words));
             let r = c
-                .run_team_permuted(0x8000_0000, &[], 8, 1_000_000, &order)
+                .run_team_permuted(0x8000_0000, &[], 8, 1_000_000, &order, None)
                 .unwrap();
             assert_eq!(r_base.races, r.races, "race set depends on order {order:?}");
         }
@@ -1233,8 +1204,8 @@ mod tests {
     #[test]
     fn sanitizer_silent_on_striped_program() {
         let words = striped_program();
-        for (workers, quantum) in [(1, 4096), (8, 64), (4, 1_000_000)] {
-            let (c, r) = run_sanitized(&words, workers, quantum);
+        for quantum in [4096, 64, 1_000_000] {
+            let (c, r) = run_sanitized(&words, quantum);
             assert!(r.races.is_empty(), "striped program must not race");
             assert_eq!(c.stats().get("tcdm_races"), 0);
         }
@@ -1246,8 +1217,8 @@ mod tests {
         // Everything except the race report itself is bit-identical with
         // it on and off — including for a program that does race.
         for words in [contention_program(100), striped_program()] {
-            let (c_off, r_off) = run_contended(&words, 4, 4096);
-            let (c_on, r_on) = run_sanitized(&words, 4, 4096);
+            let (c_off, r_off) = run_contended(&words, 4096);
+            let (c_on, r_on) = run_sanitized(&words, 4096);
             assert!(r_off.races.is_empty(), "races reported with sanitizer off");
             assert_eq!(r_off.cycles, r_on.cycles);
             assert_eq!(r_off.per_core_perf, r_on.per_core_perf);
@@ -1280,9 +1251,9 @@ mod tests {
     }
 
     #[test]
-    fn guest_faults_identical_across_worker_counts() {
+    fn guest_faults_identical_across_step_orders() {
         // A load from an unmapped SoC address must fault with the same
-        // error (and after identical partial effects) on 1 and N workers.
+        // error (and after identical partial effects) in every step order.
         let mut a = Asm::new(Xlen::Rv32);
         a.li(Reg::T0, TCDM_BASE as i64);
         a.li(Reg::T1, 77);
@@ -1292,13 +1263,11 @@ mod tests {
         a.ebreak();
         let words = a.assemble().unwrap();
         let mut errs = Vec::new();
-        for workers in [1usize, 4] {
-            let cfg = ClusterConfig {
-                workers,
-                ..ClusterConfig::default()
-            };
-            let mut c = Cluster::new(cfg, soc_with_program(&words));
-            let e = c.run_team(0x8000_0000, &[], 4, 100_000).unwrap_err();
+        for order in [[0, 1, 2, 3], [3, 1, 0, 2]] {
+            let mut c = Cluster::new(ClusterConfig::default(), soc_with_program(&words));
+            let e = c
+                .run_team_permuted(0x8000_0000, &[], 4, 100_000, &order, None)
+                .unwrap_err();
             assert_eq!(c.tcdm_read_u32(0).unwrap(), 77, "store before fault lost");
             errs.push(e);
         }

@@ -222,10 +222,11 @@ impl SocConfig {
                 ))),
             }
         };
-        // Optional-with-default integer: configs predating the
-        // deterministic-parallel team engine lack the scheduler keys, and
-        // the engine is bit-compatible with the old serial loop at any
-        // worker count, so defaulting keeps old snapshots restoring.
+        // Optional-with-default integer: configs predating the quantum
+        // team engine lack its keys, and the engine is bit-compatible with
+        // the old serial loop, so defaulting keeps old snapshots
+        // restoring. `workers` is read and written only so configs
+        // round-trip unchanged; the engine ignores it.
         let opt_u64 = |j: &Json, key: &str, default: u64| -> SnapResult<u64> {
             match j.get(key) {
                 None => Ok(default),

@@ -760,12 +760,9 @@ impl Recording {
     ///
     /// On a wrong magic, an unsupported format word, or truncation.
     pub fn from_bytes(bytes: &[u8]) -> SnapResult<Recording> {
-        let need = |n: usize, at: usize| {
-            if bytes.len() < at + n {
-                Err(SnapError::msg("recording truncated"))
-            } else {
-                Ok(())
-            }
+        let need = |n: usize, at: usize| match at.checked_add(n) {
+            Some(end) if end <= bytes.len() => Ok(()),
+            _ => Err(SnapError::msg("recording truncated")),
         };
         need(8 + 4 + 8, 0)?;
         if &bytes[..8] != RECORDING_MAGIC {

@@ -1,17 +1,19 @@
 //! Differential fuzzing campaign driver.
 //!
 //! Runs N random programs per ISA side in lockstep (fast paths on vs
-//! off; cluster programs additionally run serial vs multi-worker through
-//! the quantum engine, comparing state digests at every quantum
-//! boundary). Every campaign is reproducible from the printed seed; the
-//! first divergence is delta-debugged to a minimal program and written
-//! to the repro directory, and the process exits non-zero.
+//! off; cluster programs additionally run in hart order vs a seeded
+//! step-order permutation through the quantum engine, comparing state
+//! digests at every quantum boundary). Every campaign is reproducible
+//! from the printed seed. A side's first divergence is delta-debugged to
+//! a minimal program and written to the repro directory as that side's
+//! repro, and the campaign moves on to the next side, so a fault that
+//! breaks several sides leaves one repro per side.
 //!
 //! After the differential sweep, the race-detector oracle
 //! ([`hulkv_fuzz::race_oracle`]) runs pools of known-racy and
 //! known-race-free TCDM hammer teams through the static cross-hart race
-//! pass and the quantum-boundary sanitizer; any misclassification fails
-//! the campaign the same way a divergence does.
+//! pass and the quantum-boundary sanitizer. The process exits non-zero
+//! if any side diverged or the oracle misclassified a program.
 //!
 //! ```text
 //! fuzz_iss [--seed N] [--programs N] [--ci-budget]
@@ -30,7 +32,7 @@
 
 use hulkv_analyze::{analyze, AnalyzeConfig, GuestProgram, Side};
 use hulkv_fuzz::{
-    generate, run_differential, run_race_oracle, shrink, Isa, LockstepOptions, Program,
+    generate, run_differential, run_race_oracle, shrink, Divergence, Isa, LockstepOptions, Program,
 };
 use hulkv_obs::{ObsArgs, Sink};
 use hulkv_rv::disassemble_word;
@@ -132,6 +134,38 @@ fn render_repro(prog: &Program, side_seed: u64, index: u64, what: &str, step: u6
     out
 }
 
+/// Shrinks a diverging program and writes its repro report to the repro
+/// directory (or to stderr if the file cannot be written).
+fn write_repro(
+    repro_dir: &str,
+    opts: &LockstepOptions,
+    prog: &Program,
+    side_seed: u64,
+    k: u64,
+    div: &Divergence,
+) {
+    let isa = prog.isa;
+    eprintln!(
+        "divergence: {isa:?} program {k} (side seed {side_seed:#x}) step {}: {}",
+        div.step, div.what
+    );
+    eprintln!("shrinking...");
+    let (min, min_div) = shrink(prog, |p| run_differential(p, opts).err())
+        .expect("diverging program must still diverge when re-run");
+    let report = render_repro(&min, side_seed, k, &min_div.what, min_div.step);
+    let path = format!("{repro_dir}/repro_{isa:?}_{side_seed:x}_{k}.txt");
+    if let Err(e) = std::fs::create_dir_all(repro_dir).and_then(|()| std::fs::write(&path, &report))
+    {
+        eprintln!("failed to write repro to {path}: {e}");
+        eprintln!("{report}");
+    } else {
+        eprintln!(
+            "minimized to {} items; repro written to {path}",
+            min.items.len()
+        );
+    }
+}
+
 fn main() -> ExitCode {
     let cli = match parse_cli() {
         Ok(cli) => cli,
@@ -204,13 +238,14 @@ fn main() -> ExitCode {
     let mut total_programs = 0u64;
     let mut total_retired = 0u64;
     let mut static_findings = 0u64;
+    let mut divergences = 0u64;
     for (s, isa) in SIDES.iter().enumerate() {
         let side_seed = cli.seed ^ ((s as u64 + 1) << 32);
-        let mut retired = 0u64;
+        let (mut programs, mut retired, mut diverged) = (0u64, 0u64, 0u64);
         for k in 0..cli.programs {
             let mut rng = SplitMix64::new(side_seed).fork(k);
             let prog = generate(&mut rng, *isa);
-            total_programs += 1;
+            programs += 1;
             // Every generated program also goes through the static
             // analyzer — a termination and robustness test on exactly the
             // hostile inputs the fuzzer is good at producing (the
@@ -227,56 +262,39 @@ fn main() -> ExitCode {
                 side,
             );
             static_findings += analyze(&gp, &AnalyzeConfig::default()).findings.len() as u64;
-            let div = match run_differential(&prog, &opts) {
+            hb_programs.inc();
+            match run_differential(&prog, &opts) {
                 Ok(stats) => {
                     retired += stats.retired;
-                    hb_programs.inc();
                     hb_retired.add(stats.retired);
                     if cli.heartbeat != 0 && hb_programs.get().is_multiple_of(cli.heartbeat) {
                         heartbeat(&format!(" [{isa:?}]"));
                     }
-                    continue;
                 }
-                Err(div) => div,
-            };
-            hb_programs.inc();
-            hb_divergences.inc();
-            eprintln!(
-                "divergence: {isa:?} program {k} (side seed {side_seed:#x}) step {}: {}",
-                div.step, div.what
-            );
-            eprintln!("shrinking...");
-            let (min, min_div) = shrink(&prog, |p| run_differential(p, &opts).err())
-                .expect("diverging program must still diverge when re-run");
-            let report = render_repro(&min, side_seed, k, &min_div.what, min_div.step);
-            let path = format!("{}/repro_{isa:?}_{side_seed:x}_{k}.txt", cli.repro_dir);
-            if let Err(e) = std::fs::create_dir_all(&cli.repro_dir)
-                .and_then(|()| std::fs::write(&path, &report))
-            {
-                eprintln!("failed to write repro to {path}: {e}");
-                eprintln!("{report}");
-            } else {
-                eprintln!(
-                    "minimized to {} items; repro written to {path}",
-                    min.items.len()
-                );
+                Err(div) => {
+                    // The side's first divergence is its repro; the
+                    // campaign moves on to the next side.
+                    hb_divergences.inc();
+                    diverged = 1;
+                    write_repro(&cli.repro_dir, &opts, &prog, side_seed, k, &div);
+                    break;
+                }
             }
-            return ExitCode::FAILURE;
         }
+        total_programs += programs;
         total_retired += retired;
+        divergences += diverged;
         let mut s = Stats::new(format!("fuzz_{isa:?}").to_lowercase());
-        s.add("programs", cli.programs);
+        s.add("programs", programs);
         s.add("retired", retired);
         side_stats.push(s);
         side_reports.push(Json::obj([
             ("isa", Json::Str(format!("{isa:?}"))),
-            ("programs", Json::from(cli.programs)),
+            ("programs", Json::from(programs)),
             ("retired", Json::from(retired)),
+            ("divergences", Json::from(diverged)),
         ]));
-        println!(
-            "  {isa:?}: {} programs, {retired} instructions retired, 0 divergences",
-            cli.programs
-        );
+        println!("  {isa:?}: {programs} programs, {retired} instructions retired, {diverged} divergences");
     }
 
     // Race-detector oracle: ground-truth TCDM hammer teams (racy pool and
@@ -306,7 +324,6 @@ fn main() -> ExitCode {
              ground-truth programs (seed {}, pool {race_pool})",
             cli.seed
         );
-        return ExitCode::FAILURE;
     }
 
     let mut snap = MetricsSnapshot::new();
@@ -314,7 +331,7 @@ fn main() -> ExitCode {
     campaign.add("programs", total_programs);
     campaign.add("retired", total_retired);
     campaign.add("static_findings", static_findings);
-    campaign.add("divergences", 0);
+    campaign.add("divergences", divergences);
     campaign.add("race_oracle_pool", race.pool);
     campaign.add("race_hammer_confirmed", race.hammer_confirmed);
     campaign.add("race_striped_raced", race.striped_raced);
@@ -334,7 +351,7 @@ fn main() -> ExitCode {
             ("seed", Json::from(cli.seed)),
             ("programs", Json::from(total_programs)),
             ("retired", Json::from(total_retired)),
-            ("divergences", Json::from(0u64)),
+            ("divergences", Json::from(divergences)),
             ("static_findings", Json::from(static_findings)),
             ("race_oracle_pool", Json::from(race.pool)),
             ("race_hammer_flagged", Json::from(race.hammer_flagged)),
@@ -346,11 +363,17 @@ fn main() -> ExitCode {
         println!("{summary}");
     } else {
         println!(
-            "fuzz_iss: {total_programs} programs, 0 divergences \
+            "fuzz_iss: {total_programs} programs, {divergences} divergences \
              ({static_findings} static findings, all analyzed without hangs; \
-             race oracle {}/{} hammers confirmed, 0 striped false positives)",
-            race.hammer_confirmed, race.pool
+             race oracle {}/{} hammers confirmed, {} striped false positives)",
+            race.hammer_confirmed,
+            race.pool,
+            race.striped_flagged + race.striped_raced
         );
     }
-    ExitCode::SUCCESS
+    if divergences == 0 && race.ok() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

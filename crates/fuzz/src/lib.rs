@@ -33,7 +33,7 @@ pub mod shrink;
 pub use gen::{generate, GenItem, Isa, Program};
 pub use lockstep::{
     run_chunked_lockstep, run_cluster_lockstep, run_differential, run_host_chunked_lockstep,
-    run_host_lockstep, run_lockstep, run_team_workers_lockstep, Divergence, LockstepOptions,
+    run_host_lockstep, run_lockstep, run_team_order_lockstep, Divergence, LockstepOptions,
     LockstepStats,
 };
 pub use race_oracle::{run_race_oracle, RaceOracleSummary};
@@ -86,18 +86,18 @@ mod tests {
     }
 
     #[test]
-    fn cluster_workers_lockstep_agrees_at_every_quantum() {
-        // Serial vs thread-pool executor on full 8-core teams: the digest
-        // streams must agree at every quantum boundary even on programs
-        // that hammer racing TCDM traffic.
+    fn cluster_order_lockstep_agrees_at_every_quantum() {
+        // Hart order vs a seeded step-order permutation on full 8-core
+        // teams: the digest streams must agree at every quantum boundary
+        // even on programs that hammer racing TCDM traffic.
         let mut checked = 0u64;
         for k in 0..8 {
             let mut rng = SplitMix64::new(0xF00D_0005).fork(k);
             let prog = generate(&mut rng, Isa::Rv32Cluster);
-            match run_team_workers_lockstep(&prog, 8) {
+            match run_team_order_lockstep(&prog, 8) {
                 Ok(stats) => checked += stats.steps,
                 Err(div) => panic!(
-                    "program {k} diverged between executors at quantum {}: {}\nitems: {:#?}",
+                    "program {k} diverged between step orders at quantum {}: {}\nitems: {:#?}",
                     div.step, div.what, prog.items
                 ),
             }

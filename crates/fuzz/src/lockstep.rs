@@ -833,13 +833,28 @@ pub fn run_cluster_lockstep(prog: &Program, num_cores: usize) -> Result<Lockstep
     })
 }
 
-/// Deterministic-parallel check of the quantum engine: the same team
-/// program runs once on the serial executor (`workers = 1`) and once on
-/// the thread-pool executor (`workers = 2`), with
-/// [`Cluster::run_team_observed`] digesting all guest-visible state (the
-/// merged TCDM image plus every core's architectural state and cycle
-/// count) at *every quantum boundary*. The two digest streams must match
-/// element-wise, the runs must fail identically or succeed with the same
+/// A step order for `n` cores drawn from `seed`: a Fisher–Yates shuffle,
+/// rotated by one if it came out as the identity, so the permuted run
+/// never repeats the canonical one.
+fn step_order(seed: u64, n: usize) -> Vec<usize> {
+    let mut rng = SplitMix64::new(seed);
+    let mut order: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        order.swap(i, rng.next_below(i as u64 + 1) as usize);
+    }
+    if order.iter().enumerate().all(|(i, &h)| i == h) {
+        order.rotate_left(1);
+    }
+    order
+}
+
+/// Step-order check of the quantum engine: the same team program runs
+/// once stepping its cores in hart order and once in a permuted order
+/// drawn from the program seed, with [`Cluster::run_team_permuted`]
+/// digesting all guest-visible state (the merged TCDM image plus every
+/// core's architectural state and cycle count) at *every quantum
+/// boundary*. The two digest streams must match element-wise, the runs
+/// must fail identically or succeed with the same
 /// [`TeamResult`](hulkv_cluster::TeamResult), and the final TCDM and L2
 /// images must digest equal.
 ///
@@ -847,38 +862,44 @@ pub fn run_cluster_lockstep(prog: &Program, num_cores: usize) -> Result<Lockstep
 /// both the sync-round-heavy regime (short quanta, lots of boundary
 /// resolution) and the long-stretch regime where cores race far ahead
 /// between boundaries.
-pub fn run_team_workers_lockstep(
+pub fn run_team_order_lockstep(
     prog: &Program,
     num_cores: usize,
 ) -> Result<LockstepStats, Divergence> {
     assert_eq!(prog.isa, Isa::Rv32Cluster);
     let args = team_args(prog);
     let quantum = [64, 256, 1024, 4096][(prog.data_seed >> 8) as usize % 4];
-    let cfg = |workers| ClusterConfig {
-        workers,
+    let cfg = ClusterConfig {
         quantum_cycles: quantum,
         ..ClusterConfig::default()
     };
-    let (mut serial, sl2) = build_cluster(prog, cfg(1));
-    let (mut par, pl2) = build_cluster(prog, cfg(2));
+    let canonical: Vec<usize> = (0..num_cores).collect();
+    let permuted = step_order(prog.data_seed, num_cores);
+    let (mut base, bl2) = build_cluster(prog, cfg.clone());
+    let (mut perm, pl2) = build_cluster(prog, cfg);
 
-    let mut serial_digests: Vec<u64> = Vec::new();
-    let rs = serial.run_team_observed(prog.entry, &args, num_cores, 500_000, &mut |_, d| {
-        serial_digests.push(d)
-    });
+    let mut base_digests: Vec<u64> = Vec::new();
+    let rb = base.run_team_permuted(
+        prog.entry,
+        &args,
+        num_cores,
+        500_000,
+        &canonical,
+        Some(&mut |_, d| base_digests.push(d)),
+    );
     let mut diverged: Option<Divergence> = None;
-    let rp = par.run_team_observed(prog.entry, &args, num_cores, 500_000, &mut |q, d| {
+    let mut observe = |q: u64, d: u64| {
         if diverged.is_some() {
             return;
         }
-        match serial_digests.get(q as usize) {
+        match base_digests.get(q as usize) {
             Some(&want) if want == d => {}
             Some(&want) => {
                 diverged = Some(Divergence {
                     step: q,
                     what: format!(
                         "quantum {q} (quantum_cycles {quantum}) digest mismatch: \
-                         1 worker {want:#018x} vs 2 workers {d:#018x}"
+                         hart order {want:#018x} vs order {permuted:?} {d:#018x}"
                     ),
                 })
             }
@@ -886,26 +907,36 @@ pub fn run_team_workers_lockstep(
                 diverged = Some(Divergence {
                     step: q,
                     what: format!(
-                        "2-worker run reached quantum {q} (quantum_cycles {quantum}) \
-                         after the 1-worker run stopped at {}",
-                        serial_digests.len()
+                        "order {permuted:?} reached quantum {q} (quantum_cycles {quantum}) \
+                         after the hart-order run stopped at {}",
+                        base_digests.len()
                     ),
                 })
             }
         }
-    });
+    };
+    let rp = perm.run_team_permuted(
+        prog.entry,
+        &args,
+        num_cores,
+        500_000,
+        &permuted,
+        Some(&mut observe),
+    );
     if let Some(d) = diverged {
         return Err(d);
     }
-    let boundary = serial_digests.len() as u64;
-    let (ts, tp) = match (rs, rp) {
-        (Ok(ts), Ok(tp)) => (ts, tp),
-        (Err(es), Err(ep)) => {
-            let (ss, sp) = (format!("{es:?}"), format!("{ep:?}"));
-            if ss != sp {
+    let boundary = base_digests.len() as u64;
+    let (tb, tp) = match (rb, rp) {
+        (Ok(tb), Ok(tp)) => (tb, tp),
+        (Err(eb), Err(ep)) => {
+            let (sb, sp) = (format!("{eb:?}"), format!("{ep:?}"));
+            if sb != sp {
                 return Err(Divergence {
                     step: boundary,
-                    what: format!("team error mismatch: 1 worker {ss} vs 2 workers {sp}"),
+                    what: format!(
+                        "team error mismatch: hart order {sb} vs order {permuted:?} {sp}"
+                    ),
                 });
             }
             return Ok(LockstepStats::default());
@@ -913,48 +944,44 @@ pub fn run_team_workers_lockstep(
         (a, b) => {
             return Err(Divergence {
                 step: boundary,
-                what: format!("team results differ in kind: 1 worker {a:?} vs 2 workers {b:?}"),
+                what: format!(
+                    "team results differ in kind: hart order {a:?} vs order {permuted:?} {b:?}"
+                ),
             });
         }
     };
-    if (
-        ts.cycles,
-        &ts.per_core,
-        &ts.per_core_instret,
-        &ts.per_core_state,
-    ) != (
-        tp.cycles,
-        &tp.per_core,
-        &tp.per_core_instret,
-        &tp.per_core_state,
-    ) {
+    if tb != tp {
         return Err(Divergence {
             step: boundary,
-            what: format!("team result mismatch: 1 worker {ts:?} vs 2 workers {tp:?}"),
+            what: format!("team result mismatch: hart order {tb:?} vs order {permuted:?} {tp:?}"),
         });
     }
-    let mut stcdm = vec![0u8; serial.config().tcdm_bytes()];
-    let mut ptcdm = vec![0u8; par.config().tcdm_bytes()];
-    serial.tcdm_read(0, &mut stcdm).unwrap();
-    par.tcdm_read(0, &mut ptcdm).unwrap();
-    let sd = Fnv64::new().write(&stcdm).finish();
+    let mut btcdm = vec![0u8; base.config().tcdm_bytes()];
+    let mut ptcdm = vec![0u8; perm.config().tcdm_bytes()];
+    base.tcdm_read(0, &mut btcdm).unwrap();
+    perm.tcdm_read(0, &mut ptcdm).unwrap();
+    let bd = Fnv64::new().write(&btcdm).finish();
     let pd = Fnv64::new().write(&ptcdm).finish();
-    if sd != pd {
+    if bd != pd {
         return Err(Divergence {
             step: boundary,
-            what: format!("TCDM digest mismatch: 1 worker {sd:#018x} vs 2 workers {pd:#018x}"),
+            what: format!(
+                "TCDM digest mismatch: hart order {bd:#018x} vs order {permuted:?} {pd:#018x}"
+            ),
         });
     }
-    let (ls, lp) = (sl2.borrow().content_digest(), pl2.borrow().content_digest());
-    if ls != lp {
+    let (lb, lp) = (bl2.borrow().content_digest(), pl2.borrow().content_digest());
+    if lb != lp {
         return Err(Divergence {
             step: boundary,
-            what: format!("L2 digest mismatch: 1 worker {ls:#018x} vs 2 workers {lp:#018x}"),
+            what: format!(
+                "L2 digest mismatch: hart order {lb:#018x} vs order {permuted:?} {lp:#018x}"
+            ),
         });
     }
     Ok(LockstepStats {
         steps: boundary,
-        retired: ts.per_core_instret.iter().sum(),
+        retired: tb.per_core_instret.iter().sum(),
     })
 }
 
@@ -966,9 +993,9 @@ pub fn run_team_workers_lockstep(
 /// the plain interpreter. Host programs run the per-retire ladder over
 /// the cached CVA6 ([`run_host_lockstep`]) and then its chunked form
 /// ([`run_host_chunked_lockstep`]). Cluster programs run *their* ladder twice:
-/// decode cache on vs off ([`run_cluster_lockstep`]), then serial vs
-/// thread-pool executor with per-quantum digest comparison
-/// ([`run_team_workers_lockstep`]) — the team size is drawn from the
+/// decode cache on vs off ([`run_cluster_lockstep`]), then hart order vs
+/// a seeded step-order permutation with per-quantum digest comparison
+/// ([`run_team_order_lockstep`]) — the team size is drawn from the
 /// program seed so campaigns cover 2-, 4- and 8-core contention
 /// patterns.
 pub fn run_differential(
@@ -990,7 +1017,7 @@ pub fn run_differential(
         Isa::Rv32Cluster => {
             let stats = run_cluster_lockstep(prog, 2)?;
             let cores = [2usize, 4, 8][(prog.data_seed >> 16) as usize % 3];
-            run_team_workers_lockstep(prog, cores)?;
+            run_team_order_lockstep(prog, cores)?;
             Ok(stats)
         }
     }

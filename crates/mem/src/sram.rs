@@ -57,7 +57,7 @@ impl Sram {
 
     /// Mutable access to the activity counters. Backdoor for engines that
     /// simulate accesses against a private image and settle the counters
-    /// canonically afterwards (the cluster's deterministic-parallel team
+    /// canonically afterwards (the cluster's deterministic quantum team
     /// engine): `MemoryDevice::read`/`write` bump the same keys
     /// (`reads`/`bytes_read`/`writes`/`bytes_written`) one access at a time.
     pub fn stats_mut(&mut self) -> &mut Stats {

@@ -85,7 +85,7 @@ impl Json {
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(format!("trailing data at byte {}", p.pos));
@@ -190,6 +190,11 @@ impl fmt::Display for Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts: the parser
+/// recurses once per level, so a deeper document is an error rather than
+/// a stack overflow. Documents the simulator writes nest at most 6 deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -224,14 +229,19 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Parses one value nested `depth` arrays/objects deep.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
@@ -301,7 +311,7 @@ impl Parser<'_> {
             .ok_or_else(|| format!("bad number at byte {start}"))
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -311,7 +321,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -324,7 +334,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.eat(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -338,7 +348,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             map.insert(key, value);
             self.skip_ws();
             match self.peek() {
@@ -405,6 +415,20 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("tru").is_err());
         assert!(Json::parse("1 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("byte {MAX_DEPTH}")), "{err}");
+        let mixed = format!(
+            "{}1{}",
+            "{\"a\":[".repeat(MAX_DEPTH),
+            "]}".repeat(MAX_DEPTH)
+        );
+        assert!(Json::parse(&mixed).is_err(), "objects count too");
     }
 
     #[test]

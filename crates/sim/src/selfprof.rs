@@ -3,39 +3,40 @@
 //! Unlike [`crate::Stats`] — which counts *architectural* events and is
 //! compared bit-for-bit by the determinism gates (lockstep fuzzing,
 //! record/replay verify) — these profiles measure the simulator's own
-//! wall-clock behaviour: how long the quantum engine's workers were busy,
-//! how much time the master spent waiting at sync rounds. They are kept
-//! strictly outside `Stats` so attaching one can never perturb a digest
-//! or a counter comparison, and they are `Send + Sync` so a telemetry
-//! server thread can read them while the engine runs.
+//! wall-clock behaviour: how long the quantum engine spent stepping cores
+//! and how long its master spent servicing their outputs at sync rounds.
+//! They are kept strictly outside `Stats` so attaching one can never
+//! perturb a digest or a counter comparison, and they are `Send + Sync` so
+//! a telemetry server thread can read them while the engine runs.
 
 use std::sync::{Arc, Mutex};
 
 /// Accumulated wall-clock figures for the cluster quantum engine.
 ///
-/// All durations are nanoseconds of *host* time. `worker_busy_ns` is
-/// indexed by worker id (worker 0 is the serial executor / the master's
-/// own thread when the pool is not used).
+/// All durations are nanoseconds of *host* time. The engine has one
+/// executor, the calling thread, so `worker_busy_ns` holds one entry once
+/// a round has been recorded.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineProfileData {
     /// Team launches profiled.
     pub teams: u64,
-    /// Sync rounds executed (one master/worker exchange each).
+    /// Sync rounds executed (one step of every runnable core each).
     pub rounds: u64,
     /// Quantum boundaries reached (canonical TCDM merges).
     pub quanta: u64,
-    /// Total master wall time spent inside sync rounds.
+    /// Total wall time of the sync rounds: stepping the cores plus
+    /// servicing their outputs.
     pub round_wall_ns: u64,
-    /// Master wall time inside rounds not covered by the busiest
-    /// worker's core execution — messaging plus barrier wait.
+    /// Round wall time not spent stepping cores: the master servicing the
+    /// round's outputs (line captures, external accesses, broadcasts).
     pub sync_stall_ns: u64,
-    /// Per-worker core-execution wall time.
+    /// Core-stepping wall time, indexed by executor (only executor 0).
     pub worker_busy_ns: Vec<u64>,
 }
 
 impl EngineProfileData {
-    /// Fraction of the profiled round wall time worker `w` spent
-    /// executing cores (0 when nothing was profiled).
+    /// Fraction of the profiled round wall time executor `w` spent
+    /// stepping cores (0 when nothing was profiled).
     pub fn utilization(&self, w: usize) -> f64 {
         let busy = self.worker_busy_ns.get(w).copied().unwrap_or(0);
         if self.round_wall_ns == 0 {
@@ -47,9 +48,9 @@ impl EngineProfileData {
 }
 
 /// A cloneable, thread-safe handle onto an [`EngineProfileData`]
-/// accumulator. The engine's master thread records; a telemetry thread
-/// snapshots concurrently. The mutex is held only for short plain-data
-/// updates, never across core execution.
+/// accumulator. The engine records; a telemetry thread snapshots
+/// concurrently. The mutex is held only for short plain-data updates,
+/// never across core execution.
 #[derive(Debug, Clone, Default)]
 pub struct EngineProfile {
     inner: Arc<Mutex<EngineProfileData>>,
@@ -61,30 +62,17 @@ impl EngineProfile {
         Self::default()
     }
 
-    /// Records one sync round: its master wall time plus `(worker id,
-    /// busy ns)` samples (several per worker when a worker ran several
-    /// harts). The round's stall is the wall time not covered by its
-    /// busiest worker.
-    pub fn record_round(&self, wall_ns: u64, busy: &[(usize, u64)]) {
+    /// Records one sync round: its wall time and the part of it spent
+    /// stepping cores. The round's stall is the rest.
+    pub fn record_round(&self, wall_ns: u64, busy_ns: u64) {
         let mut d = self.inner.lock().expect("engine profile poisoned");
         d.rounds += 1;
         d.round_wall_ns += wall_ns;
-        let mut per_round: Vec<(usize, u64)> = Vec::new();
-        for &(w, ns) in busy {
-            match per_round.iter_mut().find(|(pw, _)| *pw == w) {
-                Some((_, sum)) => *sum += ns,
-                None => per_round.push((w, ns)),
-            }
+        match d.worker_busy_ns.first_mut() {
+            Some(b) => *b += busy_ns,
+            None => d.worker_busy_ns.push(busy_ns),
         }
-        let mut busiest = 0u64;
-        for (w, ns) in per_round {
-            if w >= d.worker_busy_ns.len() {
-                d.worker_busy_ns.resize(w + 1, 0);
-            }
-            d.worker_busy_ns[w] += ns;
-            busiest = busiest.max(ns);
-        }
-        d.sync_stall_ns += wall_ns.saturating_sub(busiest);
+        d.sync_stall_ns += wall_ns.saturating_sub(busy_ns);
     }
 
     /// Records one completed team launch and its quantum count.
@@ -112,27 +100,27 @@ mod tests {
     #[test]
     fn rounds_accumulate_per_worker_and_stall() {
         let p = EngineProfile::new();
-        // Worker 1 ran two harts (300 + 200), worker 0 one (400):
-        // busiest is 500, stall = 1000 - 500.
-        p.record_round(1000, &[(0, 400), (1, 300), (1, 200)]);
-        p.record_round(600, &[(0, 600)]);
+        assert_eq!(p.snapshot().utilization(0), 0.0, "nothing profiled yet");
+        // Stall is the round wall time not spent stepping cores.
+        p.record_round(1000, 900);
+        p.record_round(600, 500);
         p.record_team(7);
         let d = p.snapshot();
         assert_eq!(d.rounds, 2);
         assert_eq!(d.teams, 1);
         assert_eq!(d.quanta, 7);
         assert_eq!(d.round_wall_ns, 1600);
-        assert_eq!(d.worker_busy_ns, vec![1000, 500]);
-        assert_eq!(d.sync_stall_ns, 500);
-        assert!((d.utilization(0) - 1000.0 / 1600.0).abs() < 1e-12);
-        assert_eq!(d.utilization(9), 0.0, "unknown worker reads as idle");
+        assert_eq!(d.worker_busy_ns, vec![1400], "one executor");
+        assert_eq!(d.sync_stall_ns, 200);
+        assert!((d.utilization(0) - 1400.0 / 1600.0).abs() < 1e-12);
+        assert_eq!(d.utilization(9), 0.0, "unknown executor reads as idle");
     }
 
     #[test]
     fn stall_never_underflows_and_reset_clears() {
         let p = EngineProfile::new();
         // Busy exceeding wall (timer skew) must clamp, not wrap.
-        p.record_round(100, &[(0, 250)]);
+        p.record_round(100, 250);
         let d = p.snapshot();
         assert_eq!(d.sync_stall_ns, 0);
         p.reset();

@@ -339,8 +339,8 @@ impl Snapshot {
     /// malformed header document.
     pub fn from_bytes(bytes: &[u8]) -> SnapResult<Snapshot> {
         let take = |off: usize, len: usize| -> SnapResult<&[u8]> {
-            bytes
-                .get(off..off + len)
+            off.checked_add(len)
+                .and_then(|end| bytes.get(off..end))
                 .ok_or_else(|| SnapError::msg("truncated snapshot"))
         };
         if take(0, 8)? != MAGIC {
@@ -417,6 +417,29 @@ mod tests {
         assert!(Snapshot::from_bytes(&bytes).is_err());
         let good = Snapshot::new().to_bytes();
         assert!(Snapshot::from_bytes(&good[..good.len() - 1]).is_err());
+    }
+
+    /// A container around `header`, with `hlen` as its header length.
+    fn container(hlen: u64, header: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&SNAPSHOT_FORMAT.to_le_bytes());
+        bytes.extend_from_slice(&hlen.to_le_bytes());
+        bytes.extend_from_slice(header);
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn header_length_overflow_is_an_error() {
+        let err = Snapshot::from_bytes(&container(u64::MAX, b"{}")).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
+    }
+
+    #[test]
+    fn deeply_nested_header_is_an_error() {
+        let header = vec![b'['; 200_000];
+        let err = Snapshot::from_bytes(&container(header.len() as u64, &header)).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
     }
 
     #[test]

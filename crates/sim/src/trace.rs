@@ -270,7 +270,7 @@ pub enum TraceEvent {
         /// Bitmask of harts that read the word.
         readers: u32,
     },
-    /// One quantum of the cluster's deterministic-parallel team engine
+    /// One quantum of the cluster's deterministic quantum team engine
     /// completed: all cores reached the cycle boundary and shared state
     /// was merged canonically.
     TeamQuantum {

@@ -396,3 +396,39 @@ fn recorder_mid_program_checkpoints_resume() {
         live.state_digest()
     );
 }
+
+/// A `HULKVREC` container with `hlen` as its header length field.
+fn recording_container(hlen: u64, header: &str) -> Vec<u8> {
+    let mut bytes = hulkv::RECORDING_MAGIC.to_vec();
+    bytes.extend_from_slice(&hulkv::RECORDING_FORMAT.to_le_bytes());
+    bytes.extend_from_slice(&hlen.to_le_bytes());
+    bytes.extend_from_slice(header.as_bytes());
+    bytes
+}
+
+#[test]
+fn recording_header_length_overflow_is_an_error() {
+    let err = hulkv::Recording::from_bytes(&recording_container(u64::MAX, "{}")).unwrap_err();
+    assert!(err.to_string().contains("truncated"), "{err}");
+}
+
+#[test]
+fn recording_checkpoint_length_overflow_is_an_error() {
+    let checkpoint = Json::obj([
+        ("cmd_index", hex(0)),
+        ("host_cycle", hex(0)),
+        ("instret", hex(0)),
+        ("in_progress", Json::Bool(false)),
+        ("limit", hex(0)),
+        ("bytes_len", hex(u64::MAX)),
+    ]);
+    let header = Json::obj([
+        ("config", SocConfig::default().to_json()),
+        ("commands", Json::Arr(Vec::new())),
+        ("checkpoints", Json::Arr(vec![checkpoint])),
+    ])
+    .to_string();
+    let bytes = recording_container(header.len() as u64, &header);
+    let err = hulkv::Recording::from_bytes(&bytes).unwrap_err();
+    assert!(err.to_string().contains("truncated"), "{err}");
+}

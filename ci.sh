@@ -51,11 +51,12 @@ cargo run --release -p hulkv-analyze --bin hulkv-lint -- --ci
 
 echo "== differential fuzz (fixed seed) + live telemetry scrape =="
 # 500 random programs per ISA side, fast paths on vs off in lockstep —
-# every bare-core and host program runs the per-retire ladder; bare RV64
-# programs and cached-host programs also run the chunked lockstep (the
-# inline replay loop driven through run_until_cycle vs the decode-off
-# interpreter, synced at random offsets within straight-line runs;
-# Xpulp cores stay on the step loop), and
+# every bare-core and host program runs the per-retire ladder and then
+# the chunked lockstep (the inline replay loop driven through
+# run_until_cycle vs the decode-off interpreter, synced at random offsets
+# within straight-line runs and hardware-loop bodies: the CVA6 bare and
+# under Sv39, the cached CVA6 host, and RI5CY with its hardware loops and
+# inline loads and stores), and
 # every cluster team program runs a second time through the quantum
 # engine: cores stepped in hart order vs a step-order permutation drawn
 # from the program seed, with hart-striped racing TCDM traffic and

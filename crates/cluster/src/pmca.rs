@@ -756,6 +756,64 @@ mod tests {
     }
 
     #[test]
+    fn inline_external_loads_in_hw_loops_pause_and_retry_exactly() {
+        // The last instruction of each trip is a post-increment load from
+        // the L2: with the decode cache on, the inline run loop issues it,
+        // the core pauses on it, and the retry after the master serves the
+        // access takes the back-edge. Every result must equal the decode
+        // cache off, where `execute` issues every access.
+        let mut a = Asm::new(Xlen::Rv32);
+        a.csrr(Reg::T3, hulkv_rv::csr::addr::MHARTID);
+        a.slli(Reg::T3, Reg::T3, 8);
+        a.li(Reg::T2, TCDM_BASE as i64 + 0x1000);
+        a.add(Reg::T2, Reg::T2, Reg::T3);
+        a.li(Reg::T0, 0x8008_0000u32 as i64);
+        a.add(Reg::T0, Reg::T0, Reg::T3);
+        a.lp_counti(0, 24);
+        let (s, e) = (a.label(), a.label());
+        a.lp_starti(0, s);
+        a.lp_endi(0, e);
+        a.bind(s);
+        a.add(Reg::A2, Reg::A2, Reg::T1);
+        a.p_sw_post(Reg::A2, Reg::T2, 4);
+        a.p_lw_post(Reg::T1, Reg::T0, 4);
+        a.bind(e);
+        store_result_per_hart(&mut a, Reg::A2);
+        a.ebreak();
+        let mut words = a.assemble().unwrap();
+        // L2 data the loads read: word i holds i + 1 for every hart.
+        words.resize(0x2_0100, 0);
+        for hart in 0..4 {
+            for i in 0..24 {
+                words[(0x2_0000 + hart * 0x40 + i) as usize] = i as u32 + 1;
+            }
+        }
+        let run = |decode_cache: bool| {
+            let cfg = ClusterConfig {
+                decode_cache,
+                ..ClusterConfig::default()
+            };
+            let mut c = Cluster::new(cfg, soc_with_program(&words));
+            let r = c.run_team(0x8000_0000, &[], 4, 1_000_000).unwrap();
+            (c, r)
+        };
+        let (mut on, r_on) = run(true);
+        let (off, r_off) = run(false);
+        assert_eq!(r_on, r_off);
+        let (s_on, s_off) = (on.stats(), off.stats());
+        for (k, v) in s_on.iter().filter(|(k, _)| !k.starts_with("decode_")) {
+            assert_eq!(v, s_off.get(k), "stat {k}");
+        }
+        assert!(s_on.get("ext_pauses") >= 4 * 24, "{s_on:?}");
+        assert!(s_on.get("decode_hits") > 4 * 3 * 20, "{s_on:?}");
+        assert_eq!(s_on.get("hwloop_iters"), 4 * 23);
+        for hart in 0..4u64 {
+            // a2 sums t1 before each load: 0 + 1 + ... + 23.
+            assert_eq!(on.tcdm_read_u32(hart * 4).unwrap(), 23 * 24 / 2);
+        }
+    }
+
+    #[test]
     fn ext_access_slower_than_tcdm() {
         let mut tcdm_prog = Asm::new(Xlen::Rv32);
         tcdm_prog.li(Reg::T0, TCDM_BASE as i64);

@@ -758,7 +758,8 @@ impl Recording {
     ///
     /// # Errors
     ///
-    /// On a wrong magic, an unsupported format word, or truncation.
+    /// On a wrong magic, an unsupported format word, truncation, or a
+    /// checkpoint whose command index lies past the journal.
     pub fn from_bytes(bytes: &[u8]) -> SnapResult<Recording> {
         let need = |n: usize, at: usize| match at.checked_add(n) {
             Some(end) if end <= bytes.len() => Ok(()),
@@ -789,11 +790,21 @@ impl Recording {
         for cp in get_arr(&header, "checkpoints")? {
             let len = get_u64(cp, "bytes_len")? as usize;
             need(len, cursor)?;
+            let cmd_index = get_u64(cp, "cmd_index")?;
+            let in_progress = get_bool(cp, "in_progress")?;
+            // Replay resumes at `commands[cmd_index]`, which an in-flight
+            // checkpoint also needs to exist.
+            let end = commands.len() as u64;
+            if cmd_index > end || (in_progress && cmd_index == end) {
+                return Err(SnapError::msg(format!(
+                    "checkpoint cmd_index {cmd_index} is past the {end}-command journal"
+                )));
+            }
             checkpoints.push(Checkpoint {
-                cmd_index: get_u64(cp, "cmd_index")? as usize,
+                cmd_index: cmd_index as usize,
                 host_cycle: get_u64(cp, "host_cycle")?,
                 instret: get_u64(cp, "instret")?,
-                in_progress: get_bool(cp, "in_progress")?,
+                in_progress,
                 limit: get_u64(cp, "limit")?,
                 bytes: bytes[cursor..cursor + len].to_vec(),
             });

@@ -221,7 +221,9 @@ pub enum GenItem {
         imm: i8,
     },
     /// Xpulp hardware loop (`lp.starti`/`lp.endi`/`lp.counti`) around a
-    /// tiny ALU body. RV32 sides only.
+    /// tiny body: an ALU op or MAC, post-increment or plain loads and
+    /// stores into the benign region that end the body on the access,
+    /// or a second loop nested inside. RV32 sides only.
     HwLoop { body: u8, count: u8 },
     /// Xpulp ALU / bit-manipulation / SIMD / packed-f16 op. RV32 only.
     Xpulp { op: u8, rd: u8, rs1: u8, rs2: u8 },
@@ -238,13 +240,14 @@ pub enum GenItem {
     /// re-enters that run at an interior offset.
     SbMidBranch { iters: u8, imm: i8 },
     /// Replay-hostile: self-modifying code whose store patches an
-    /// instruction *later in the same straight-line run* — the inline
-    /// replay executing the store must not replay the stale slot after it
-    /// (with or without an intervening `fence.i`).
+    /// instruction *later in the same straight-line run*, with a new
+    /// immediate on each trip — the inline replay executing the store
+    /// must not replay the stale slot after it (with or without an
+    /// intervening `fence.i`).
     SbSmcTail { imm: i8, fence: bool, pad: u8 },
     /// RV32 only: a hardware loop with a long straight-line body
-    /// (56..=119 instructions); Xpulp cores stay on the step loop, so it
-    /// replays from the decode cache.
+    /// (56..=119 instructions), replayed by the inline loop from the
+    /// decode cache with the back-edge taken after an inline retire.
     SbLongLoop { body: u8, count: u8, len: u8 },
     /// Cluster only: a hart-striped TCDM hammer. Each core derives a
     /// pointer from `mhartid` and bursts word stores/loads through it at
@@ -562,23 +565,79 @@ fn emit_rvc_pair(a: &mut Asm, kind_a: u8, kind_b: u8, rd: u8, rs: u8, imm: i8, x
     a.word(lo as u32 | (hi as u32) << 16);
 }
 
-fn emit_hwloop(a: &mut Asm, body: u8, count: u8) {
-    let idx = body % 2;
-    a.lp_counti(idx, 1 + (count % 8) as i64);
+/// Emits hardware loop `idx` of `count` trips around `body`.
+fn hw_loop(a: &mut Asm, idx: u8, count: i64, body: impl FnOnce(&mut Asm)) {
+    a.lp_counti(idx, count);
     let (s, e) = (a.label(), a.label());
     a.lp_starti(idx, s);
     a.lp_endi(idx, e);
     a.bind(s);
-    match body % 4 {
-        0 => a.addi(Reg::T1, Reg::T1, 1),
-        1 => a.add(Reg::A0, Reg::A0, Reg::A1),
-        2 => {
+    body(a);
+    a.bind(e);
+}
+
+/// A loop body that walks `t0` through memory and ends on a memory
+/// access, so the back-edge follows a load or a store. `kind` picks the
+/// access mix and `width` the post-increment width.
+fn hwloop_mem_body(a: &mut Asm, kind: u8, width: u8) {
+    match kind % 3 {
+        0 => {
+            a.xor(Reg::A2, Reg::A2, Reg::T1);
+            match width % 3 {
+                0 => a.p_lw_post(Reg::T1, Reg::T0, 4),
+                1 => a.p_lh_post(Reg::T1, Reg::T0, 2),
+                _ => a.p_lbu_post(Reg::T1, Reg::T0, 1),
+            }
+        }
+        1 => {
+            a.add(Reg::A2, Reg::A2, Reg::A3);
+            match width % 3 {
+                0 => a.p_sw_post(Reg::A2, Reg::T0, 4),
+                1 => a.p_sh_post(Reg::A2, Reg::T0, 2),
+                _ => a.p_sb_post(Reg::A2, Reg::T0, 1),
+            }
+        }
+        _ => {
+            a.lw(Reg::A3, Reg::T0, 0);
+            a.addi(Reg::A3, Reg::A3, 1);
+            a.addi(Reg::T0, Reg::T0, 4);
+            a.sw(Reg::A3, Reg::T0, 0);
+        }
+    }
+}
+
+/// See [`GenItem::HwLoop`]. `body % 8` picks the shape: four pure
+/// bodies, three memory-bearing ones through a pointer into the benign
+/// region, and loop 1 around a memory-bearing loop 0 plus a trailing
+/// store.
+fn emit_hwloop(a: &mut Asm, isa: Isa, body: u8, count: u8) {
+    let idx = body % 2;
+    let trips = 1 + (count % 8) as i64;
+    let shape = body % 8;
+    if shape >= 4 {
+        // At most 64 trips of at most 4 bytes each from here.
+        let off = u64::from(body >> 3) * 0x40;
+        a.li(Reg::T0, (isa.benign_base() + off) as i64);
+    }
+    match shape {
+        0 => hw_loop(a, idx, trips, |a| a.addi(Reg::T1, Reg::T1, 1)),
+        1 => hw_loop(a, idx, trips, |a| a.add(Reg::A0, Reg::A0, Reg::A1)),
+        2 => hw_loop(a, idx, trips, |a| {
             a.xor(Reg::A2, Reg::A2, Reg::A3);
             a.addi(Reg::A3, Reg::A3, 3)
+        }),
+        3 => hw_loop(a, idx, trips, |a| a.p_mac(Reg::A4, Reg::A5, Reg::A6)),
+        4..=6 => hw_loop(a, idx, trips, |a| hwloop_mem_body(a, shape, count >> 3)),
+        _ => {
+            // The inner setup sits in the outer body, so it re-arms
+            // loop 0 on every outer trip.
+            let inner = 1 + ((count >> 3) % 8) as i64;
+            hw_loop(a, 1, trips, |a| {
+                hw_loop(a, 0, inner, |a| hwloop_mem_body(a, count >> 6, body >> 3));
+                a.sw(Reg::A2, Reg::T0, 0);
+            });
         }
-        _ => a.p_mac(Reg::A4, Reg::A5, Reg::A6),
     }
-    a.bind(e);
 }
 
 fn emit_xpulp(a: &mut Asm, op: u8, rd: u8, rs1: u8, rs2: u8) {
@@ -656,11 +715,13 @@ fn emit_sb_mid_branch(a: &mut Asm, iters: u8, imm: i8) {
 /// See [`GenItem::SbSmcTail`].
 fn emit_sb_smc_tail(a: &mut Asm, imm: i8, fence: bool, pad: u8) {
     a.li(Reg::T1, 2);
+    a.li(Reg::T2, addi_t6(imm) as i64);
+    // One more in the patch's immediate field per trip.
+    a.li(Reg::T4, 1 << 20);
     let slot = a.label();
     let top = a.label();
     a.bind(top);
     a.la(Reg::T0, slot);
-    a.li(Reg::T2, addi_t6(imm) as i64);
     // Padding pushes the patch slot deeper into the same run.
     for _ in 0..pad % 6 {
         a.addi(Reg::T3, Reg::T3, 1);
@@ -671,6 +732,7 @@ fn emit_sb_smc_tail(a: &mut Asm, imm: i8, fence: bool, pad: u8) {
     }
     a.bind(slot);
     a.nop();
+    a.add(Reg::T2, Reg::T2, Reg::T4);
     a.addi(Reg::T1, Reg::T1, -1);
     a.bnez(Reg::T1, top);
 }
@@ -790,7 +852,7 @@ impl GenItem {
                 rs,
                 imm,
             } => emit_rvc_pair(a, kind_a, kind_b, rd, rs, imm, xlen),
-            GenItem::HwLoop { body, count } => emit_hwloop(a, body, count),
+            GenItem::HwLoop { body, count } => emit_hwloop(a, isa, body, count),
             GenItem::Xpulp { op, rd, rs1, rs2 } => emit_xpulp(a, op, rd, rs1, rs2),
             GenItem::XpulpPostInc {
                 op,

@@ -17,12 +17,13 @@
 //! *required* to be cycle-neutral, so a timing drift is a divergence even
 //! when architectural state agrees.
 //!
-//! [`run_chunked_lockstep`] (bare RV64) and [`run_host_chunked_lockstep`]
-//! (the cached CVA6 host) extend the ladder to the run loop every
-//! workload takes: the fast side replays decode-cache slots inline via
-//! `run_until_cycle`, synced to the per-retire reference at randomly
-//! sized cycle boundaries so every offset within a straight-line run
-//! becomes a sync point.
+//! [`run_chunked_lockstep`] (the bare RV64 and RV32 Xpulp cores) and
+//! [`run_host_chunked_lockstep`] (the cached CVA6 host) extend the ladder
+//! to the run loop every workload takes: the fast side replays
+//! decode-cache slots inline via `run_until_cycle`, synced to the
+//! per-retire reference at randomly sized cycle boundaries so every
+//! offset within a straight-line run or hardware-loop body becomes a
+//! sync point.
 
 use crate::gen::{Isa, Program};
 use hulkv_cluster::{Cluster, ClusterConfig};
@@ -459,8 +460,9 @@ impl ChunkSide for (Host, Rc<RefCell<Sram>>) {
     }
 }
 
-/// Chunked lockstep of the inline replay loop on bare RV64 programs
-/// (flat memory). See [`chunked_lockstep`] for the driver.
+/// Chunked lockstep of the inline replay loop on the bare-core sides
+/// (flat memory): RV64 under Sv39 and RV32 Xpulp with its hardware
+/// loops. See [`chunked_lockstep`] for the driver.
 pub fn run_chunked_lockstep(
     prog: &Program,
     opts: &LockstepOptions,
@@ -988,11 +990,11 @@ pub fn run_team_order_lockstep(
 /// Dispatches a program to the harness matching its ISA side.
 ///
 /// Bare-core programs run the per-retire ladder (decode cache on vs
-/// off); bare RV64 programs also run it chunked
-/// ([`run_chunked_lockstep`]), checking the inline replay loop against
-/// the plain interpreter. Host programs run the per-retire ladder over
-/// the cached CVA6 ([`run_host_lockstep`]) and then its chunked form
-/// ([`run_host_chunked_lockstep`]). Cluster programs run *their* ladder twice:
+/// off), then run it chunked ([`run_chunked_lockstep`]), checking the
+/// inline replay loop against the plain interpreter. Host programs run
+/// the per-retire ladder over the cached CVA6 ([`run_host_lockstep`])
+/// and then its chunked form ([`run_host_chunked_lockstep`]). Cluster
+/// programs run *their* ladder twice:
 /// decode cache on vs off ([`run_cluster_lockstep`]), then hart order vs
 /// a seeded step-order permutation with per-quantum digest comparison
 /// ([`run_team_order_lockstep`]) — the team size is drawn from the
@@ -1003,12 +1005,11 @@ pub fn run_differential(
     opts: &LockstepOptions,
 ) -> Result<LockstepStats, Divergence> {
     match prog.isa {
-        Isa::Rv64Sv39 => {
+        Isa::Rv64Sv39 | Isa::Rv32Pulp => {
             let stats = run_lockstep(prog, opts)?;
             run_chunked_lockstep(prog, opts)?;
             Ok(stats)
         }
-        Isa::Rv32Pulp => run_lockstep(prog, opts),
         Isa::Rv64Host => {
             let stats = run_host_lockstep(prog, opts)?;
             run_host_chunked_lockstep(prog, opts)?;

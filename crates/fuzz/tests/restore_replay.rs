@@ -238,8 +238,8 @@ fn hwloop_heavy_prog() -> Program {
     }
 }
 
-/// A checkpoint taken while the inline loop replays, on the one core
-/// type that runs it, recorded with the loop on and with it off.
+/// A checkpoint taken while the inline loop replays on a CVA6, recorded
+/// with the loop on and with it off.
 #[test]
 fn superblock_recording_replays_in_both_modes() {
     let mut rng = SplitMix64::new(0x2026_0810);
@@ -250,12 +250,13 @@ fn superblock_recording_replays_in_both_modes() {
     });
 }
 
-/// Xpulp cores always run the step loop, so the inline-replay switch
-/// changes nothing on either side of the checkpoint.
+/// The same on an Xpulp core, whose inline loop also takes
+/// hardware-loop back-edges and bare-mode loads and stores.
 #[test]
 fn xpulp_recording_replays() {
     let mut rng = SplitMix64::new(0x2026_0811);
     let prog = gen::generate(&mut rng, Isa::Rv32Pulp);
+    cross_mode_checkpoint(&prog, 7, true, mid_replay);
     cross_mode_checkpoint(&prog, 7, false, |_| true);
 }
 

@@ -513,6 +513,82 @@ pub struct TraceEntry {
     pub inst: Inst,
 }
 
+/// The error a failed bus access at physical address `addr` surfaces as.
+#[cold]
+#[inline(never)]
+fn mem_error(addr: u64, e: SimError) -> RvError {
+    RvError::Memory {
+        addr,
+        cause: e.to_string(),
+    }
+}
+
+/// Sign- or zero-extends the low `width` bytes of `raw` to a register value.
+#[inline(always)]
+fn extend_load(width: LoadWidth, raw: u64) -> u64 {
+    match width {
+        LoadWidth::B => raw as u8 as i8 as i64 as u64,
+        LoadWidth::Bu => raw & 0xFF,
+        LoadWidth::H => raw as u16 as i16 as i64 as u64,
+        LoadWidth::Hu => raw & 0xFFFF,
+        LoadWidth::W => raw as u32 as i32 as i64 as u64,
+        LoadWidth::Wu => raw & 0xFFFF_FFFF,
+        LoadWidth::D => raw,
+    }
+}
+
+/// One integer load at physical address `addr` as a single bus access,
+/// extended to a register value. Each width gets its own fixed-size
+/// buffer, so the bus call specialises and no copy goes through `memcpy`.
+#[inline(always)]
+fn bus_load_int<B: CoreBus + ?Sized>(
+    bus: &mut B,
+    addr: u64,
+    width: LoadWidth,
+) -> Result<(u64, Cycles), RvError> {
+    let r = match width.bytes() {
+        1 => {
+            let mut b = [0u8; 1];
+            bus.load(addr, &mut b).map(|lat| (u64::from(b[0]), lat))
+        }
+        2 => {
+            let mut b = [0u8; 2];
+            bus.load(addr, &mut b)
+                .map(|lat| (u64::from(u16::from_le_bytes(b)), lat))
+        }
+        4 => {
+            let mut b = [0u8; 4];
+            bus.load(addr, &mut b)
+                .map(|lat| (u64::from(u32::from_le_bytes(b)), lat))
+        }
+        _ => {
+            let mut b = [0u8; 8];
+            bus.load(addr, &mut b)
+                .map(|lat| (u64::from_le_bytes(b), lat))
+        }
+    };
+    let (raw, lat) = r.map_err(|e| mem_error(addr, e))?;
+    Ok((extend_load(width, raw), lat))
+}
+
+/// One integer store of the low `width` bytes of `v` at physical address
+/// `addr` as a single fixed-width bus access (see [`bus_load_int`]).
+#[inline(always)]
+fn bus_store_int<B: CoreBus + ?Sized>(
+    bus: &mut B,
+    addr: u64,
+    width: StoreWidth,
+    v: u64,
+) -> Result<Cycles, RvError> {
+    match width {
+        StoreWidth::B => bus.store(addr, &[v as u8]),
+        StoreWidth::H => bus.store(addr, &(v as u16).to_le_bytes()),
+        StoreWidth::W => bus.store(addr, &(v as u32).to_le_bytes()),
+        StoreWidth::D => bus.store(addr, &v.to_le_bytes()),
+    }
+    .map_err(|e| mem_error(addr, e))
+}
+
 impl Core {
     /// Creates a core with an explicit ISA width and cost model (Xpulp off).
     pub fn new(xlen: Xlen, cost: CostModel) -> Self {
@@ -1098,9 +1174,9 @@ impl Core {
     /// step loop is also the inline loop's fallback path and the
     /// decode-on reference for tests. Both are exact: cycles,
     /// architectural state and every counter except `sb_instrs_retired`
-    /// are bit-identical either way. The inline loop is inert while the
-    /// decode cache is off or any observability hook is attached, and on
-    /// Xpulp cores.
+    /// are bit-identical either way. The inline loop runs on the CVA6 and
+    /// on RI5CY cores alike, and is inert while the decode cache is off or
+    /// any observability hook is attached.
     pub fn set_superblocks(&mut self, enabled: bool) {
         self.sb_enabled = enabled;
     }
@@ -1393,21 +1469,11 @@ impl Core {
         self.trace_misaligned(vaddr, buf.len());
         let (pa, split) = self.translate_span(bus, vaddr, buf.len(), AccessKind::Load, extra)?;
         match split {
-            None => {
-                let lat = bus.load(pa, buf).map_err(|e| RvError::Memory {
-                    addr: pa,
-                    cause: e.to_string(),
-                })?;
-                *extra += lat;
-            }
+            None => *extra += bus.load(pa, buf).map_err(|e| mem_error(pa, e))?,
             Some((first_len, second_pa)) => {
                 let (lo, hi) = buf.split_at_mut(first_len);
                 for (seg_pa, seg) in [(pa, lo), (second_pa, hi)] {
-                    let lat = bus.load(seg_pa, seg).map_err(|e| RvError::Memory {
-                        addr: seg_pa,
-                        cause: e.to_string(),
-                    })?;
-                    *extra += lat;
+                    *extra += bus.load(seg_pa, seg).map_err(|e| mem_error(seg_pa, e))?;
                 }
             }
         }
@@ -1428,15 +1494,18 @@ impl Core {
         data: &[u8],
         extra: &mut Cycles,
     ) -> Result<(), RvError> {
-        let lat = bus.store(pa, data).map_err(|e| RvError::Memory {
-            addr: pa,
-            cause: e.to_string(),
-        })?;
-        *extra += lat;
-        if pa < self.code_hi && pa.saturating_add(data.len() as u64) > self.code_lo {
+        *extra += bus.store(pa, data).map_err(|e| mem_error(pa, e))?;
+        if self.overlaps_code(pa, data.len()) {
             self.invalidate_decoded();
         }
         Ok(())
+    }
+
+    /// Whether `len` bytes at physical address `pa` overlap the range the
+    /// decode cache has installed entries for.
+    #[inline(always)]
+    fn overlaps_code(&self, pa: u64, len: usize) -> bool {
+        pa < self.code_hi && pa.saturating_add(len as u64) > self.code_lo
     }
 
     #[inline]
@@ -1471,16 +1540,82 @@ impl Core {
         let mut b = [0u8; 8];
         let n = width.bytes();
         self.mem_load(bus, vaddr, &mut b[..n], extra)?;
-        let raw = u64::from_le_bytes(b);
-        Ok(match width {
-            LoadWidth::B => raw as u8 as i8 as i64 as u64,
-            LoadWidth::Bu => raw & 0xFF,
-            LoadWidth::H => raw as u16 as i16 as i64 as u64,
-            LoadWidth::Hu => raw & 0xFFFF,
-            LoadWidth::W => raw as u32 as i32 as i64 as u64,
-            LoadWidth::Wu => raw & 0xFFFF_FFFF,
-            LoadWidth::D => raw,
-        })
+        Ok(extend_load(width, u64::from_le_bytes(b)))
+    }
+
+    /// A bare-mode integer load, store or post-increment access retired
+    /// by [`Core::run_loop`] without [`Core::execute`]: one fixed-width
+    /// bus access with exactly the register writes, counters and errors
+    /// `execute` produces (no translation, no page split, no tracer).
+    /// Returns the access's stall cycles, or `Ok(None)` with no side
+    /// effect for an entry that must go through `execute`, including a
+    /// store that overlaps cached code, so SMC invalidation keeps one
+    /// path.
+    #[inline(always)]
+    fn inline_mem<B: CoreBus + ?Sized>(
+        &mut self,
+        bus: &mut B,
+        inst: &Inst,
+    ) -> Result<Option<u64>, RvError> {
+        let stall = match *inst {
+            Inst::Load {
+                width,
+                rd,
+                rs1,
+                offset,
+            } => {
+                let addr = self.reg(rs1).wrapping_add(offset as u64);
+                let (v, stall) = bus_load_int(bus, addr, width)?;
+                self.set_reg(rd, v);
+                self.counters.loads += 1;
+                stall
+            }
+            Inst::LoadPost {
+                width,
+                rd,
+                rs1,
+                offset,
+            } => {
+                let addr = self.reg(rs1);
+                let (v, stall) = bus_load_int(bus, addr, width)?;
+                self.set_reg(rs1, addr.wrapping_add(offset as u64));
+                self.set_reg(rd, v);
+                self.counters.loads += 1;
+                stall
+            }
+            Inst::Store {
+                width,
+                rs2,
+                rs1,
+                offset,
+            } => {
+                let addr = self.reg(rs1).wrapping_add(offset as u64);
+                if self.overlaps_code(addr, width.bytes()) {
+                    return Ok(None);
+                }
+                let stall = bus_store_int(bus, addr, width, self.reg(rs2))?;
+                self.counters.stores += 1;
+                stall
+            }
+            Inst::StorePost {
+                width,
+                rs2,
+                rs1,
+                offset,
+            } => {
+                let addr = self.reg(rs1);
+                if self.overlaps_code(addr, width.bytes()) {
+                    return Ok(None);
+                }
+                let stall = bus_store_int(bus, addr, width, self.reg(rs2))?;
+                self.set_reg(rs1, addr.wrapping_add(offset as u64));
+                self.counters.stores += 1;
+                stall
+            }
+            _ => return Ok(None),
+        };
+        self.counters.mem_stall_cycles += stall.get();
+        Ok(Some(stall.get()))
     }
 
     fn alu(&self, op: AluOp, a: u64, b: u64) -> u64 {
@@ -2043,32 +2178,23 @@ impl Core {
             // replaying `extra = 0` is exactly what the slow path would
             // charge; the bus revalidates the fetch as a hit with
             // identical side effects via `fetch_touch`.
-            //
-            // `Core::replay_slot` is the same predicate for `run_loop`,
-            // with the stamp inputs held in locals. Keep the two in step:
-            // calling one shared helper here measured slower on
-            // `pmca_offload` (DESIGN.md §8.1).
-            if let Some(cache) = &self.decode_cache {
-                let e = &cache[(pc >> 1) as usize & (self.decode_entries - 1)];
-                // Branchless stamp check: OR the XOR of every u64 field so
-                // the common all-match case costs one predicted branch.
-                let stale = (e.gen ^ self.decode_gen)
-                    | (e.va ^ pc)
-                    | (e.version ^ self.csrs.version())
-                    | (e.epoch ^ bus.fetch_epoch());
-                if stale == 0
-                    && e.mode == self.priv_mode
-                    && (!e.paged || bus.timing_stateless())
-                    && bus.fetch_touch(e.pa)
-                {
-                    let (inst, ilen, word, cost) =
-                        (e.inst, u64::from(e.ilen), e.word, u64::from(e.cost));
-                    self.counters.decode_hits += 1;
-                    // A paged replay is also a served-without-a-walk fetch
-                    // translation; account it as a µTLB hit.
-                    self.counters.itlb_hits += u64::from(e.paged);
-                    return self.execute(bus, pc, inst, ilen, word, cost, Cycles::ZERO);
-                }
+            let epoch = bus.fetch_epoch();
+            let (gen, version, mode) = (self.decode_gen, self.csrs.version(), self.priv_mode);
+            if let Some(e) = self.replay_slot(bus, pc, gen, version, epoch, mode) {
+                let (inst, ilen, word, cost, paged) = (e.inst, e.ilen, e.word, e.cost, e.paged);
+                self.counters.decode_hits += 1;
+                // A paged replay is also a served-without-a-walk fetch
+                // translation; account it as a µTLB hit.
+                self.counters.itlb_hits += u64::from(paged);
+                return self.execute(
+                    bus,
+                    pc,
+                    inst,
+                    u64::from(ilen),
+                    word,
+                    u64::from(cost),
+                    Cycles::ZERO,
+                );
             }
         }
         if let Some(code) = self.takeable_interrupt_cached() {
@@ -2099,15 +2225,14 @@ impl Core {
         self.step_decode(bus, pc, None)
     }
 
-    /// The decode-cache replay predicate of [`Core::run_loop`]: the slot
-    /// for `pc` replays when it was installed under the current decode
-    /// generation, CSR-file version, fetch epoch and privilege mode
-    /// (passed in, so the loop can hold them in locals), a paged entry
-    /// sits on a timing-stateless bus, and [`CoreBus::fetch_touch`]
-    /// revalidates the fetch as a hit with the side effects a real fetch
-    /// would have had. A `None` has no side effects. [`Core::step`]'s
-    /// replay path keeps its own copy of this predicate; keep the two in
-    /// step.
+    /// The decode-cache replay predicate of [`Core::step`] and
+    /// [`Core::run_loop`]: the slot for `pc` replays when it was installed
+    /// under the current decode generation, CSR-file version, fetch epoch
+    /// and privilege mode (passed in, so the loop can hold them in
+    /// locals), a paged entry sits on a timing-stateless bus, and
+    /// [`CoreBus::fetch_touch`] revalidates the fetch as a hit with the
+    /// side effects a real fetch would have had. A `None` has no side
+    /// effects.
     #[inline(always)]
     fn replay_slot<B: CoreBus + ?Sized>(
         &self,
@@ -2200,10 +2325,7 @@ impl Core {
                 mode: self.priv_mode,
             };
         }
-        let (word, fetch_lat) = bus.fetch(fetch_pa).map_err(|e| RvError::Memory {
-            addr: fetch_pa,
-            cause: e.to_string(),
-        })?;
+        let (word, fetch_lat) = bus.fetch(fetch_pa).map_err(|e| mem_error(fetch_pa, e))?;
         extra += fetch_lat;
 
         // C extension: a parcel whose low bits are not 0b11 is a 16-bit
@@ -2773,23 +2895,10 @@ impl Core {
             penalty += self.cost.branch_taken_penalty;
         }
 
-        // Hardware loops: zero-cycle back-edge at the end of a loop body.
-        // Only Xpulp cores can ever arm one, so gate the scan on the
-        // extension flag rather than probing both slots every retire.
+        // Only Xpulp cores can ever arm a hardware loop, so gate the scan
+        // on the extension flag rather than probing both slots every retire.
         if self.xpulp && !control_transfer && !halted {
-            for i in 0..2 {
-                let l = &mut self.hwloops[i];
-                if l.count > 0 && next_pc == l.end {
-                    if l.count > 1 {
-                        l.count -= 1;
-                        next_pc = l.start;
-                        self.counters.hwloop_iters += 1;
-                    } else {
-                        l.count = 0;
-                    }
-                    break;
-                }
-            }
+            next_pc = self.hwloop_edge(next_pc);
         }
 
         self.pc = next_pc;
@@ -2889,9 +2998,8 @@ impl Core {
                 self.counters.arith_ops += 1;
             }
             Inst::MulDiv32 { op, rd, rs1, rs2 } => self.exec_muldiv32(op, rd, rs1, rs2),
-            // Xpulp-only: a CVA6 never decodes these. Deleting the arms
-            // slowed the CVA6's former block loop (`host_fig6` +4% to
-            // +9%) through register allocation; DESIGN.md §13.4.
+            // Xpulp: the MAC, ALU and SIMD forms of the RI5CY kernels'
+            // inner loops. A CVA6 never decodes them.
             Inst::Mac {
                 rd,
                 rs1,
@@ -2914,17 +3022,76 @@ impl Core {
         true
     }
 
+    /// The Xpulp hardware-loop back-edge of an instruction that retires
+    /// without a control transfer and falls through to `next_pc`: the
+    /// first armed loop (loop 0 first) that ends at `next_pc` branches
+    /// back to its start at zero cycles, counting an `hwloop_iters`, or
+    /// disarms on its last iteration. Returns the PC to continue at.
+    /// [`Core::execute`] and [`Core::run_loop`]'s inline retires both
+    /// take the back-edge here.
+    #[inline(always)]
+    fn hwloop_edge(&mut self, next_pc: u64) -> u64 {
+        for l in &mut self.hwloops {
+            if l.count > 0 && next_pc == l.end {
+                if l.count > 1 {
+                    l.count -= 1;
+                    self.counters.hwloop_iters += 1;
+                    return l.start;
+                }
+                l.count = 0;
+                break;
+            }
+        }
+        next_pc
+    }
+
+    /// The armed hardware-loop ends, for [`Core::run_loop`] to compare
+    /// each inline retire's next PC against. A disarmed slot, and every
+    /// slot on a core without Xpulp, holds `u64::MAX`: a PC never reaches
+    /// it (every PC is fetched, and no bus maps the top of the address
+    /// space), and a spurious match would only cost the exact check in
+    /// [`Core::hwloop_edge`].
+    #[inline(always)]
+    fn hwloop_ends(&self) -> [u64; 2] {
+        let end = |l: &HwLoopState| {
+            if self.xpulp && l.count > 0 {
+                l.end
+            } else {
+                u64::MAX
+            }
+        };
+        [end(&self.hwloops[0]), end(&self.hwloops[1])]
+    }
+
+    /// Whether data accesses translate by the identity map under the
+    /// current CSR file and privilege mode. Reads `mmu_cache` without
+    /// refreshing it: the cache is part of a snapshot, and the step loop
+    /// refreshes it only where it translates.
+    #[inline(always)]
+    fn data_bare(&self) -> bool {
+        let m = &self.mmu_cache;
+        if m.version == self.csrs.version() && m.mode == self.priv_mode {
+            !m.active
+        } else {
+            !mmu::sv39_active(self.csrs.satp(), self.priv_mode)
+        }
+    }
+
     /// The one run loop behind [`Core::run`] (`stop_at = u64::MAX`) and
     /// [`Core::run_until_cycle`] (`limit = u64::MAX`).
     ///
-    /// With the inline replay armed ([`Core::set_superblocks`], on a
-    /// non-Xpulp core with the decode cache on and no observability hook)
-    /// it replays decode-cache slots by PC with the PC, cycle and instret
-    /// counts held in locals. Each slot must pass [`Core::replay_slot`],
-    /// the predicate of [`Core::step`]'s replay path, so the memory
-    /// system sees the same fetch touches and the `decode_*`/`itlb_*`
-    /// counters tick as they would under `step`. Pure entries retire
-    /// through [`Core::sb_inline_exec`]; every other entry goes through
+    /// With the inline replay armed ([`Core::set_superblocks`], with the
+    /// decode cache on and no observability hook) it replays decode-cache
+    /// slots by PC with the PC, cycle and instret counts held in locals.
+    /// Each slot must pass [`Core::replay_slot`], the predicate of
+    /// [`Core::step`]'s replay path, so the memory system sees the same
+    /// fetch touches and the `decode_*`/`itlb_*` counters tick as they
+    /// would under `step`. Pure entries retire through
+    /// [`Core::sb_inline_exec`] and, while translation is bare, integer
+    /// loads, stores and post-increment accesses through
+    /// [`Core::inline_mem`]; each inline retire then takes the
+    /// hardware-loop back-edge ([`Core::hwloop_edge`]) when its next PC
+    /// is an armed loop end. Every other entry goes through
     /// [`Core::execute`] with the locals flushed before and reloaded
     /// after. A slot that fails the predicate gets exactly one `step`,
     /// which polls interrupts and installs the slot. An unchanged CSR
@@ -2944,17 +3111,20 @@ impl Core {
         let timeout = |core: &Core| RvError::Timeout {
             cycles: (core.cycles - start).get(),
         };
-        let inline = self.sb_enabled && self.decode_enabled && !self.xpulp && !self.observe;
+        let inline = self.sb_enabled && self.decode_enabled && !self.observe;
         while !self.halted && self.cycles.get() < stop_at {
             if inline {
                 let mut pc = self.pc;
                 let mut cycles = self.cycles.get();
                 let mut instret = self.instret;
-                // The stamp inputs change only through `execute`.
+                // The stamp inputs, the translation mode and the
+                // hardware-loop state change only through `execute`.
                 let mut gen = self.decode_gen;
                 let mut version = self.csrs.version();
                 let mut epoch = bus.fetch_epoch();
                 let mut mode = self.priv_mode;
+                let mut bare = self.data_bare();
+                let mut ends = self.hwloop_ends();
                 while cycles < stop_at {
                     let Some(e) = self.replay_slot(bus, pc, gen, version, epoch, mode) else {
                         break;
@@ -2963,9 +3133,32 @@ impl Core {
                     self.counters.decode_hits += 1;
                     self.counters.itlb_hits += u64::from(paged);
                     self.counters.sb_instrs_retired += 1;
-                    if self.sb_inline_exec(pc, &inst) {
+                    let stall = if self.sb_inline_exec(pc, &inst) {
+                        Some(0)
+                    } else if bare {
+                        match self.inline_mem(bus, &inst) {
+                            Ok(stall) => stall,
+                            Err(e) => {
+                                // Nothing retired: the core stays on the
+                                // access, as `execute` leaves it.
+                                self.pc = pc;
+                                self.cycles = Cycles::new(cycles);
+                                self.instret = instret;
+                                return Err(e);
+                            }
+                        }
+                    } else {
+                        None
+                    };
+                    if let Some(stall) = stall {
+                        // A data access moves no fetch state.
+                        debug_assert_eq!(bus.fetch_epoch(), epoch);
                         pc = pc.wrapping_add(u64::from(ilen));
-                        cycles += u64::from(cost);
+                        if pc == ends[0] || pc == ends[1] {
+                            pc = self.hwloop_edge(pc);
+                            ends = self.hwloop_ends();
+                        }
+                        cycles += u64::from(cost) + stall;
                         instret += 1;
                         if cycles > limit {
                             break;
@@ -2992,6 +3185,8 @@ impl Core {
                     version = self.csrs.version();
                     epoch = bus.fetch_epoch();
                     mode = self.priv_mode;
+                    bare = self.data_bare();
+                    ends = self.hwloop_ends();
                 }
                 self.pc = pc;
                 self.cycles = Cycles::new(cycles);
@@ -4264,29 +4459,243 @@ mod tests {
         assert!(s.get("decode_misses") < 20, "{s:?}");
     }
 
+    /// Emits an Xpulp hardware loop `idx` of `count` iterations around
+    /// `body`.
+    fn hw_loop(a: &mut Asm, idx: u8, count: i64, body: impl FnOnce(&mut Asm)) {
+        a.lp_counti(idx, count);
+        let (s, e) = (a.label(), a.label());
+        a.lp_starti(idx, s);
+        a.lp_endi(idx, e);
+        a.bind(s);
+        body(a);
+        a.bind(e);
+    }
+
     #[test]
-    fn xpulp_core_runs_hw_loop_through_decode_cache_only() {
-        // A hardware-loop kernel with a post-increment load, a MAC and a
-        // decode-cache flush: a RI5CY core stays on the step loop, so the
-        // run equals the decode-cache-only one in every counter too.
+    fn ri5cy_hw_loops_retire_inline() {
+        // The back-edge follows an inline retire of each kind: a body
+        // ending in a MAC, in a post-increment load and in a
+        // post-increment store, with plain loads and stores inside.
+        let bodies: [fn(&mut Asm); 3] = [
+            |a| {
+                a.p_lw_post(Reg::T1, Reg::A0, 4);
+                a.xor(Reg::A2, Reg::A2, Reg::T1);
+                a.p_mac(Reg::A4, Reg::A5, Reg::A6);
+            },
+            |a| {
+                a.xor(Reg::A2, Reg::A2, Reg::T1);
+                a.sw(Reg::A2, Reg::A0, 0x40);
+                a.p_lw_post(Reg::T1, Reg::A0, 4);
+            },
+            |a| {
+                a.lw(Reg::T1, Reg::A0, 0x80);
+                a.add(Reg::A2, Reg::A2, Reg::T1);
+                a.p_sw_post(Reg::A2, Reg::A0, 4);
+            },
+        ];
+        for body in bodies {
+            let fast = assert_replay_neutral(Xlen::Rv32, |a| {
+                a.li(Reg::A0, 0x4000);
+                hw_loop(a, 0, 40, body);
+            });
+            let s = fast.stats();
+            assert_eq!(s.get("hwloop_iters"), 39);
+            assert_eq!(fast.reg(Reg::A0), 0x4000 + 4 * 40, "40 trips");
+            assert!(s.get("sb_instrs_retired") >= 3 * 38, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn ri5cy_nested_and_single_trip_hw_loops_stay_exact() {
+        // Loop 1 holds loop 0 plus one more instruction, so the inner
+        // setup replays through `execute` inside the inline loop and
+        // re-arms loop 0 on every outer trip.
+        for (outer, inner) in [(5i64, 7i64), (1, 6), (6, 1), (1, 1)] {
+            let fast = assert_replay_neutral(Xlen::Rv32, |a| {
+                a.li(Reg::A0, 0x4000);
+                a.li(Reg::A1, 0x6000);
+                hw_loop(a, 1, outer, |a| {
+                    a.p_lw_post(Reg::T1, Reg::A0, 4);
+                    hw_loop(a, 0, inner, |a| {
+                        a.p_lbu_post(Reg::T2, Reg::A0, 1);
+                        a.add(Reg::T1, Reg::T1, Reg::T2);
+                        a.p_sw_post(Reg::T1, Reg::A1, 4);
+                    });
+                    a.addi(Reg::A3, Reg::A3, 1);
+                });
+            });
+            let want = (outer - 1) + outer * (inner - 1);
+            assert_eq!(fast.stats().get("hwloop_iters"), want as u64);
+            assert_eq!(fast.reg(Reg::A3), outer as u64);
+            assert_eq!(fast.reg(Reg::A1), 0x6000 + 4 * (outer * inner) as u64);
+        }
+    }
+
+    #[test]
+    fn ri5cy_smc_store_in_hw_loop_is_exact() {
+        // Every trip stores a new `addi a0, a0, k` over the slot after
+        // the store, so a replayed stale slot would add the wrong `k`.
+        let one = crate::encode::encode(&Inst::OpImm {
+            op: AluOp::Add,
+            rd: Reg::A0,
+            rs1: Reg::A0,
+            imm: 1,
+        })
+        .unwrap();
         let fast = assert_replay_neutral(Xlen::Rv32, |a| {
-            a.li(Reg::A0, 0x4000);
-            a.fence_i();
-            a.lp_counti(0, 40);
-            let (s, e) = (a.label(), a.label());
-            a.lp_starti(0, s);
-            a.lp_endi(0, e);
-            a.bind(s);
-            a.p_lw_post(Reg::T1, Reg::A0, 4);
-            a.xor(Reg::A2, Reg::A2, Reg::T1);
-            a.p_mac(Reg::A4, Reg::A5, Reg::A6);
-            a.bind(e);
+            let slot = a.label();
+            a.la(Reg::T0, slot);
+            a.li(Reg::T2, one as i64);
+            a.li(Reg::T3, 1 << 20);
+            hw_loop(a, 0, 5, |a| {
+                a.sw(Reg::T2, Reg::T0, 0);
+                a.bind(slot);
+                a.nop();
+                a.add(Reg::T2, Reg::T2, Reg::T3);
+            });
         });
-        let s = fast.stats();
-        assert_eq!(s.get("hwloop_iters"), 39);
-        assert_eq!(s.get("decode_invalidations"), 1);
-        assert!(s.get("decode_hits") >= 3 * 39, "the loop replays decoded");
-        assert!(s.iter().all(|(k, _)| !k.starts_with("sb_")), "{s:?}");
+        assert_eq!(fast.reg(Reg::A0), 1 + 2 + 3 + 4 + 5);
+        assert!(fast.stats().get("decode_invalidations") >= 4);
+    }
+
+    #[test]
+    fn every_load_and_store_width_retires_inline_exactly() {
+        // Every integer width, aligned and misaligned, with the sign bit
+        // of each width set, loaded back and folded into `a7`.
+        let fast = assert_replay_neutral(Xlen::Rv64, |a| {
+            a.li(Reg::T0, 0x8765_4321_FEDC_BA98u64 as i64);
+            a.li(Reg::T1, 30);
+            let top = a.label();
+            a.bind(top);
+            a.sd(Reg::T0, Reg::Sp, 0);
+            a.sw(Reg::T0, Reg::Sp, 9);
+            a.sh(Reg::T0, Reg::Sp, 14);
+            a.sb(Reg::T0, Reg::Sp, 17);
+            let loads: [fn(&mut Asm, Reg, i64); 7] = [
+                |a, r, o| a.ld(r, Reg::Sp, o),
+                |a, r, o| a.lw(r, Reg::Sp, o),
+                |a, r, o| a.lwu(r, Reg::Sp, o),
+                |a, r, o| a.lh(r, Reg::Sp, o),
+                |a, r, o| a.lhu(r, Reg::Sp, o),
+                |a, r, o| a.lb(r, Reg::Sp, o),
+                |a, r, o| a.lbu(r, Reg::Sp, o),
+            ];
+            for (i, load) in loads.iter().enumerate() {
+                load(a, Reg::A0, i as i64 * 3);
+                a.xor(Reg::A7, Reg::A7, Reg::A0);
+                a.slli(Reg::A7, Reg::A7, 1);
+            }
+            a.addi(Reg::T0, Reg::T0, 0x135);
+            a.slli(Reg::T2, Reg::T0, 13);
+            a.xor(Reg::T0, Reg::T0, Reg::T2);
+            a.addi(Reg::T1, Reg::T1, -1);
+            a.bnez(Reg::T1, top);
+        });
+        assert_eq!(fast.stats().get("loads"), 7 * 30);
+        assert_eq!(fast.stats().get("stores"), 4 * 30);
+
+        // RI5CY: the RV32 widths, plain and post-increment.
+        let fast = assert_replay_neutral(Xlen::Rv32, |a| {
+            a.li(Reg::T0, 0x8765_4321);
+            a.li(Reg::A0, 0x4001);
+            hw_loop(a, 0, 30, |a| {
+                a.sw(Reg::T0, Reg::Sp, 1);
+                a.sh(Reg::T0, Reg::Sp, 6);
+                a.sb(Reg::T0, Reg::Sp, 9);
+                for (width, offset) in [(StoreWidth::W, 4), (StoreWidth::H, 2), (StoreWidth::B, 1)]
+                {
+                    a.inst(Inst::StorePost {
+                        width,
+                        rs2: Reg::T0,
+                        rs1: Reg::A0,
+                        offset,
+                    });
+                }
+                let widths = [
+                    LoadWidth::W,
+                    LoadWidth::H,
+                    LoadWidth::Hu,
+                    LoadWidth::B,
+                    LoadWidth::Bu,
+                ];
+                for (i, width) in widths.into_iter().enumerate() {
+                    a.inst(Inst::Load {
+                        width,
+                        rd: Reg::A1,
+                        rs1: Reg::Sp,
+                        offset: i as i64 * 2,
+                    });
+                    a.xor(Reg::A7, Reg::A7, Reg::A1);
+                    a.inst(Inst::LoadPost {
+                        width,
+                        rd: Reg::A1,
+                        rs1: Reg::A0,
+                        offset: -(width.bytes() as i64),
+                    });
+                    a.add(Reg::A7, Reg::A7, Reg::A1);
+                }
+                a.addi(Reg::T0, Reg::T0, 0x135);
+            });
+        });
+        assert_eq!(fast.stats().get("loads"), 10 * 30);
+        assert_eq!(fast.stats().get("stores"), 6 * 30);
+    }
+
+    #[test]
+    fn post_increment_with_rd_equal_to_rs1_keeps_the_loaded_value() {
+        let fast = assert_replay_neutral(Xlen::Rv32, |a| {
+            a.li(Reg::T0, 0x1234_5678);
+            a.li(Reg::A0, 0x4000);
+            a.sw(Reg::T0, Reg::A0, 0);
+            hw_loop(a, 0, 3, |a| {
+                a.li(Reg::A1, 0x4000);
+                a.p_lw_post(Reg::A1, Reg::A1, 8);
+                a.add(Reg::A2, Reg::A2, Reg::A1);
+            });
+        });
+        assert_eq!(fast.reg(Reg::A2), 3 * 0x1234_5678);
+    }
+
+    #[test]
+    fn inline_bus_error_matches_execute() {
+        // A post-increment load walks off the end of the 64 KiB bus
+        // inside a warm hardware loop: every run mode stops on the same
+        // instruction with the same error, counters and state.
+        let mut a = Asm::new(Xlen::Rv32);
+        a.li(Reg::A0, 0xFFE0);
+        hw_loop(&mut a, 0, 100, |a| {
+            a.addi(Reg::A2, Reg::A2, 1);
+            a.p_lw_post(Reg::T1, Reg::A0, 4);
+        });
+        a.ebreak();
+        let words = a.assemble().unwrap();
+        let run = |decode: bool, inline: bool| {
+            let mut bus = FlatBus::new(1 << 16);
+            bus.load_words(0, &words);
+            let mut core = Core::ri5cy(0);
+            core.set_decode_cache(decode);
+            core.set_superblocks(inline);
+            let err = core.run(&mut bus, 1_000_000).unwrap_err();
+            (format!("{err:?}"), core)
+        };
+        let (err, fast) = run(true, true);
+        assert!(err.contains("Memory"), "{err}");
+        assert!(fast.stats().get("sb_instrs_retired") > 0);
+        for (other_err, other) in [run(true, false), run(false, true)] {
+            assert_eq!(err, other_err);
+            assert_eq!(fast.pc(), other.pc());
+            assert_eq!(fast.cycles(), other.cycles());
+            assert_eq!(fast.instret(), other.instret());
+            assert_eq!(fast.state_digest(), other.state_digest());
+            assert_eq!(fast.stats().get("loads"), other.stats().get("loads"));
+        }
+        let plain = run(true, false).1.stats();
+        let fs = fast.stats();
+        let rest: Vec<_> = fs
+            .iter()
+            .filter(|(k, _)| *k != "sb_instrs_retired")
+            .collect();
+        assert_eq!(rest, plain.iter().collect::<Vec<_>>());
     }
 
     #[test]
@@ -4369,25 +4778,40 @@ mod tests {
     fn chunked_budget_runs_match_uninterrupted() {
         // `run_until_cycle` in 1-, 3- and 7-cycle slices must retire the
         // same stream — and count the same telemetry — as one
-        // uninterrupted `run`; budgets land mid-run on purpose.
-        let words = alu_loop(60);
-        let fresh = || {
-            let mut bus = FlatBus::new(1 << 16);
-            bus.load_words(0, &words);
-            (Core::cva6(), bus)
-        };
-        let (mut whole, mut wbus) = fresh();
-        whole.run(&mut wbus, 1_000_000).unwrap();
-        for chunk in [1u64, 3, 7] {
-            let (mut core, mut bus) = fresh();
-            finish_chunked(&mut core, &mut bus, chunk);
-            assert_eq!(core.cycles(), whole.cycles(), "chunk {chunk}");
-            assert_eq!(core.state_digest(), whole.state_digest(), "chunk {chunk}");
-            assert_eq!(
-                format!("{:?}", core.stats()),
-                format!("{:?}", whole.stats()),
-                "telemetry must be chunk-invariant (chunk {chunk})"
-            );
+        // uninterrupted `run`; budgets land mid-run on purpose, and on
+        // RI5CY on both sides of a hardware-loop end after a load.
+        let mut a = Asm::new(Xlen::Rv32);
+        a.li(Reg::A0, 0x4000);
+        hw_loop(&mut a, 0, 30, |a| {
+            a.p_mac(Reg::A4, Reg::A5, Reg::A6);
+            a.p_lw_post(Reg::T1, Reg::A0, 4);
+        });
+        a.ebreak();
+        let hw = a.assemble().unwrap();
+        for (words, xlen) in [(alu_loop(60), Xlen::Rv64), (hw, Xlen::Rv32)] {
+            let fresh = || {
+                let mut bus = FlatBus::new(1 << 16);
+                bus.load_words(0, &words);
+                let core = match xlen {
+                    Xlen::Rv64 => Core::cva6(),
+                    Xlen::Rv32 => Core::ri5cy(0),
+                };
+                (core, bus)
+            };
+            let (mut whole, mut wbus) = fresh();
+            whole.run(&mut wbus, 1_000_000).unwrap();
+            assert!(whole.stats().get("sb_instrs_retired") > 50);
+            for chunk in [1u64, 3, 7] {
+                let (mut core, mut bus) = fresh();
+                finish_chunked(&mut core, &mut bus, chunk);
+                assert_eq!(core.cycles(), whole.cycles(), "chunk {chunk}");
+                assert_eq!(core.state_digest(), whole.state_digest(), "chunk {chunk}");
+                assert_eq!(
+                    format!("{:?}", core.stats()),
+                    format!("{:?}", whole.stats()),
+                    "telemetry must be chunk-invariant (chunk {chunk})"
+                );
+            }
         }
     }
 

@@ -413,6 +413,26 @@ fn recording_header_length_overflow_is_an_error() {
 }
 
 #[test]
+fn recording_checkpoint_past_the_journal_is_an_error() {
+    let mut rec = Recorder::new(SocConfig::default(), 500, 4).unwrap();
+    rec.write_mem(map::DRAM_BASE + 0x100, &[7; 8]).unwrap();
+    let (_, recording) = rec.finish();
+    assert_eq!(recording.commands.len(), 1);
+    for (cmd_index, in_progress) in [(1000, false), (2, false), (1, true)] {
+        let mut bad = recording.clone();
+        bad.checkpoints[0].cmd_index = cmd_index;
+        bad.checkpoints[0].in_progress = in_progress;
+        let err = hulkv::Recording::from_bytes(&bad.to_bytes()).unwrap_err();
+        assert!(err.to_string().contains("cmd_index"), "{err}");
+    }
+    // The journal's end is a valid resume point for a checkpoint taken
+    // between commands.
+    let mut last = recording.clone();
+    last.checkpoints[0].cmd_index = 1;
+    assert!(hulkv::Recording::from_bytes(&last.to_bytes()).is_ok());
+}
+
+#[test]
 fn recording_checkpoint_length_overflow_is_an_error() {
     let checkpoint = Json::obj([
         ("cmd_index", hex(0)),

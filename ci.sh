@@ -215,6 +215,29 @@ replay=target/release/hulkv-replay
   | tee "$tmp/record.log"
 "$replay" verify "$tmp/fig6.hrec" | tee "$tmp/verify.log"
 grep -q "VERIFY OK" "$tmp/verify.log"
+# Hostile recordings: a copy cut 64 bytes short, and one whose header
+# config asks for a zero-bank TCDM (a same-length edit, so the header
+# length field stays valid). Each must be an error line and exit 1, not
+# a panic.
+python3 - "$tmp" <<'EOF'
+import sys
+d = sys.argv[1]
+data = open(f"{d}/fig6.hrec", "rb").read()
+open(f"{d}/truncated.hrec", "wb").write(data[:-64])
+old, new = b'"banks":"0x10"', b'"banks":"0x00"'
+assert old in data, "recording header lacks the cluster banks key"
+open(f"{d}/zero_banks.hrec", "wb").write(data.replace(old, new, 1))
+EOF
+for bad in truncated zero_banks; do
+  code=0
+  "$replay" verify "$tmp/$bad.hrec" > "$tmp/$bad.log" 2>&1 || code=$?
+  if [ "$code" -ne 1 ] || ! grep -q "^hulkv-replay: " "$tmp/$bad.log"; then
+    echo "ci.sh: verify of $bad.hrec exited $code, want 1 and an error line" >&2
+    cat "$tmp/$bad.log" >&2
+    exit 1
+  fi
+  echo "ci.sh: $bad.hrec rejected: $(grep -m1 "^hulkv-replay: " "$tmp/$bad.log")"
+done
 "$replay" record --out "$tmp/fig6_nodc.hrec" --kernel relu-int8 \
   --period 10000 --no-decode-cache | tee "$tmp/record_nodc.log"
 "$replay" verify "$tmp/fig6_nodc.hrec" | tee "$tmp/verify_nodc.log"

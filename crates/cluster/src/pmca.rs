@@ -199,7 +199,9 @@ pub struct Cluster {
     pub(crate) cfg: ClusterConfig,
     pub(crate) tcdm: SharedMem,
     // Typed alias of `tcdm` so snapshots can reach the SRAM backdoor
-    // without going through `MemoryDevice::read` (which would bump stats).
+    // without going through `MemoryDevice::read` (which would bump stats),
+    // and the team engine can borrow its buffer as the canonical image:
+    // cores read it in place, and the master merges their stores into it.
     pub(crate) tcdm_typed: Rc<RefCell<Sram>>,
     pub(crate) ext: SharedMem,
     // Kept as the concrete type (not `SharedMem`) so [`Cluster::flush_icache`]
@@ -214,11 +216,6 @@ pub struct Cluster {
     // Pure simulator-side recycling: never snapshotted, and a team launched
     // from recycled cores is bit-identical to one from fresh cores.
     pub(crate) spare_cores: Vec<hulkv_rv::Core>,
-    /// Recycled backing buffer for the per-team start-of-team TCDM image
-    /// (reclaimed from the `Arc` once the last core's view drops its
-    /// clone), so a team launch costs one memcpy instead of a fresh
-    /// 128 KiB allocation and its page faults.
-    pub(crate) spare_image: Option<Vec<u8>>,
     /// Optional wall-clock self-profile for the quantum engine. Strictly
     /// host-side: recording never touches `stats`, cycles, or digests.
     pub(crate) profile: Option<EngineProfile>,
@@ -268,7 +265,6 @@ impl Cluster {
             busy_cycles: Cycles::ZERO,
             tracer: None,
             spare_cores: Vec::new(),
-            spare_image: None,
             profile: None,
         }
     }
@@ -1031,11 +1027,11 @@ mod tests {
     fn recycled_cores_are_bit_identical_to_fresh() {
         // Every team returns its halted cores to the spare pool, so the
         // second team of a cluster runs on *recycled* cores — decoded-entry
-        // caches retained under a bumped generation, the reclaimed TCDM
-        // image buffer. The fresh side drops both before its second team
-        // and so builds it from scratch. After identical first teams both
-        // clusters carry identical warm shared state (L1.5 I-cache), so any
-        // second-team difference is recycling leaking through.
+        // caches retained under a bumped generation. The fresh side drops
+        // them before its second team and so builds it from scratch. After
+        // identical first teams both clusters carry identical warm shared
+        // state (L1.5 I-cache), so any second-team difference is recycling
+        // leaking through.
         let words = contention_program(100);
         let run_two_teams = |recycle: bool| {
             let mut cl = Cluster::new(ClusterConfig::default(), soc_with_program(&words));
@@ -1043,10 +1039,8 @@ mod tests {
             cl.tcdm_read(0, &mut tcdm).unwrap();
             let r1 = cl.run_team(0x8000_0000, &[], 8, 1_000_000).unwrap();
             assert_eq!(cl.spare_cores.len(), 8, "halted cores must be kept");
-            assert!(cl.spare_image.is_some(), "the image buffer must be kept");
             if !recycle {
                 cl.spare_cores.clear();
-                cl.spare_image = None;
             }
             cl.tcdm_write(0, &tcdm).unwrap();
             let r2 = cl.run_team(0x8000_0000, &[], 8, 1_000_000).unwrap();
@@ -1331,6 +1325,44 @@ mod tests {
         }
         assert!(matches!(errs[0], RvError::Memory { .. }), "{:?}", errs[0]);
         assert_eq!(errs[0], errs[1]);
+    }
+
+    #[test]
+    fn failing_team_keeps_a_paused_cores_stores() {
+        // Both harts store 55 to their own TCDM word and run the same
+        // instructions, so they pause in the same rounds. Hart 0 then loads
+        // twice from the L2; hart 1's first load goes to an unmapped
+        // address instead. Hart 1 fails in the round in which hart 0 pauses
+        // on its second load, so the failure merge must take the stores of
+        // a core that is paused, not at rest.
+        let mut a = Asm::new(Xlen::Rv32);
+        a.csrr(Reg::T0, hulkv_rv::csr::addr::MHARTID);
+        a.li(Reg::T3, 55);
+        store_result_per_hart(&mut a, Reg::T3);
+        // t4 = 0x8008_0000 on hart 0, 0x4000_0000 on hart 1.
+        a.li(Reg::T4, 0x8008_0000u32 as i64);
+        a.slli(Reg::T6, Reg::T0, 30);
+        a.sub(Reg::T4, Reg::T4, Reg::T6);
+        a.slli(Reg::T6, Reg::T0, 19);
+        a.sub(Reg::T4, Reg::T4, Reg::T6);
+        a.lw(Reg::T1, Reg::T4, 0);
+        a.lw(Reg::T1, Reg::T4, 4);
+        a.ebreak();
+        let words = a.assemble().unwrap();
+        for order in [[0, 1], [1, 0]] {
+            let mut c = Cluster::new(ClusterConfig::default(), soc_with_program(&words));
+            let e = c
+                .run_team_permuted(0x8000_0000, &[], 2, 100_000, &order, None)
+                .unwrap_err();
+            assert!(matches!(e, RvError::Memory { .. }), "{e:?}");
+            for hart in 0..2u64 {
+                assert_eq!(
+                    c.tcdm_read_u32(hart * 4).unwrap(),
+                    55,
+                    "hart {hart}'s store lost, order {order:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,81 @@
 //! SoC-level configuration.
 
-use hulkv_cluster::ClusterConfig;
+use hulkv_cluster::{ClusterConfig, PERF_BASE, TCDM_BASE};
 use hulkv_host::HostConfig;
 use hulkv_mem::{DdrConfig, HyperRamConfig, LlcConfig};
 use hulkv_sim::snap::{get, get_bool, get_u64, hex, SnapError};
 use hulkv_sim::{Cycles, Freq, Json, SnapResult};
+
+// Fixed bounds [`SocConfig::from_json`] holds a document to, so every
+// configuration it accepts builds: no key may ask for a zero clock, a
+// cache geometry the cache model rejects, or an unbounded allocation.
+
+/// Highest clock, in kHz (1 THz): `Freq::hz` stays far from overflow.
+const MAX_FREQ_KHZ: u64 = 1_000_000_000;
+/// Largest main memory (1 TiB). Its storage is sparse, but the DRAM
+/// window must stay inside the address space.
+const MAX_MAIN_MEMORY_BYTES: u64 = 1 << 40;
+/// Largest L2SPM (64 MiB): a dense buffer, allocated whole.
+const MAX_L2SPM_BYTES: u64 = 64 << 20;
+/// Largest cache of any level (16 MiB): data and per-line state are
+/// allocated whole.
+const MAX_CACHE_BYTES: u64 = 16 << 20;
+/// Largest TCDM: the cluster window below the perf-counter unit.
+const MAX_TCDM_BYTES: u64 = PERF_BASE - TCDM_BASE;
+/// TCDM granularity: the team engine tracks and merges 256-byte pages.
+const TCDM_PAGE_BYTES: u64 = 256;
+/// Largest team: the race sanitizer keeps `u32` hart masks.
+const MAX_CORES: u64 = 32;
+
+/// An out-of-bounds error naming `sec.key` (just `key` at the top level).
+fn bad_key(sec: &str, key: &str, why: impl std::fmt::Display) -> SnapError {
+    if sec.is_empty() {
+        SnapError::msg(format!("{key}: {why}"))
+    } else {
+        SnapError::msg(format!("{sec}.{key}: {why}"))
+    }
+}
+
+/// Reads `key` of the `sec` object (`""` for the top level) as an integer
+/// in `lo..=hi`.
+fn get_in(j: &Json, sec: &str, key: &str, lo: u64, hi: u64) -> SnapResult<u64> {
+    let v = get_u64(j, key)?;
+    if (lo..=hi).contains(&v) {
+        Ok(v)
+    } else {
+        Err(bad_key(sec, key, format!("{v} is outside {lo}..={hi}")))
+    }
+}
+
+/// Reads `key` as a power of two no larger than `hi`.
+fn get_pow2(j: &Json, sec: &str, key: &str, hi: u64) -> SnapResult<u64> {
+    let v = get_in(j, sec, key, 1, hi)?;
+    if v.is_power_of_two() {
+        Ok(v)
+    } else {
+        Err(bad_key(sec, key, format!("{v} is not a power of two")))
+    }
+}
+
+fn get_freq(j: &Json, sec: &str, key: &str) -> SnapResult<Freq> {
+    Ok(Freq::khz_new(get_in(j, sec, key, 1, MAX_FREQ_KHZ)?))
+}
+
+/// Reads the size of a `ways`-way cache of `line`-byte lines: its set
+/// count must come out a non-zero power of two.
+fn get_cache_bytes(j: &Json, sec: &str, key: &str, line: u64, ways: u64) -> SnapResult<u64> {
+    let v = get_in(j, sec, key, 1, MAX_CACHE_BYTES)?;
+    let sets = v / line / ways;
+    if sets.is_power_of_two() {
+        Ok(v)
+    } else {
+        Err(bad_key(
+            sec,
+            key,
+            format!("{v} B is not a power-of-two number of {ways}-way sets of {line} B lines"),
+        ))
+    }
+}
 
 /// Which main-memory technology backs the SoC.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -207,9 +278,13 @@ impl SocConfig {
 
     /// Rebuilds a configuration written by [`SocConfig::to_json`].
     ///
+    /// Every configuration it returns builds a [`HulkV`](crate::HulkV):
+    /// sizes, geometries and clocks are checked against fixed bounds.
+    ///
     /// # Errors
     ///
-    /// On a malformed or unknown-kind document.
+    /// On a malformed or unknown-kind document, or a key out of bounds
+    /// (the error names the key).
     pub fn from_json(j: &Json) -> SnapResult<SocConfig> {
         // Retired boolean keys (`host.superblocks`, `cluster.superblocks`:
         // no core runs the block engine any more) that older documents
@@ -235,22 +310,35 @@ impl SocConfig {
         };
         let m = get(j, "main_memory")?;
         let main_memory = match get(m, "kind")?.as_str() {
-            Some("hyperram") => MainMemory::HyperRam(HyperRamConfig {
-                chips_per_bus: get_u64(m, "chips_per_bus")? as usize,
-                chip_bytes: get_u64(m, "chip_bytes")?,
-                dual_bus: get_bool(m, "dual_bus")?,
-                bus_freq: Freq::khz_new(get_u64(m, "bus_freq_khz")?),
-                soc_freq: Freq::khz_new(get_u64(m, "soc_freq_khz")?),
-                ca_cycles: get_u64(m, "ca_cycles")?,
-                access_cycles: get_u64(m, "access_cycles")?,
-                fixed_2x_latency: get_bool(m, "fixed_2x_latency")?,
-                max_burst_bytes: get_u64(m, "max_burst_bytes")? as usize,
-                frontend_cycles: get_u64(m, "frontend_cycles")?,
-            }),
+            Some("hyperram") => {
+                let h = HyperRamConfig {
+                    chips_per_bus: get_in(m, "main_memory", "chips_per_bus", 1, u64::MAX)? as usize,
+                    chip_bytes: get_in(m, "main_memory", "chip_bytes", 1, u64::MAX)?,
+                    dual_bus: get_bool(m, "dual_bus")?,
+                    bus_freq: get_freq(m, "main_memory", "bus_freq_khz")?,
+                    soc_freq: get_freq(m, "main_memory", "soc_freq_khz")?,
+                    ca_cycles: get_u64(m, "ca_cycles")?,
+                    access_cycles: get_u64(m, "access_cycles")?,
+                    fixed_2x_latency: get_bool(m, "fixed_2x_latency")?,
+                    max_burst_bytes: get_in(m, "main_memory", "max_burst_bytes", 1, u64::MAX)?
+                        as usize,
+                    frontend_cycles: get_u64(m, "frontend_cycles")?,
+                };
+                let total = (h.chips_per_bus as u64)
+                    .checked_mul(h.chip_bytes)
+                    .and_then(|b| b.checked_mul(if h.dual_bus { 2 } else { 1 }));
+                if total.is_none_or(|b| b > MAX_MAIN_MEMORY_BYTES) {
+                    return Err(SnapError::msg(format!(
+                        "main_memory.chips_per_bus × main_memory.chip_bytes exceeds \
+                         {MAX_MAIN_MEMORY_BYTES} B"
+                    )));
+                }
+                MainMemory::HyperRam(h)
+            }
             Some("ddr") => MainMemory::Ddr(DdrConfig {
-                size_bytes: get_u64(m, "size_bytes")?,
+                size_bytes: get_in(m, "main_memory", "size_bytes", 1, MAX_MAIN_MEMORY_BYTES)?,
                 latency_cycles: get_u64(m, "latency_cycles")?,
-                bytes_per_cycle: get_u64(m, "bytes_per_cycle")?,
+                bytes_per_cycle: get_in(m, "main_memory", "bytes_per_cycle", 1, u64::MAX)?,
             }),
             other => {
                 return Err(SnapError::msg(format!(
@@ -260,40 +348,75 @@ impl SocConfig {
         };
         let llc = match get(j, "llc")? {
             Json::Null => None,
-            l => Some(LlcConfig {
-                blocks: get_u64(l, "blocks")? as usize,
-                lines: get_u64(l, "lines")? as usize,
-                ways: get_u64(l, "ways")? as usize,
-                axi_bytes: get_u64(l, "axi_bytes")? as usize,
-                hit_latency: Cycles::new(get_u64(l, "hit_latency")?),
-                cacheable_start: get_u64(l, "cacheable_start")?,
-                cacheable_end: get_u64(l, "cacheable_end")?,
-            }),
+            l => {
+                let llc = LlcConfig {
+                    blocks: get_pow2(l, "llc", "blocks", MAX_CACHE_BYTES)? as usize,
+                    lines: get_pow2(l, "llc", "lines", MAX_CACHE_BYTES)? as usize,
+                    ways: get_in(l, "llc", "ways", 1, MAX_CACHE_BYTES)? as usize,
+                    axi_bytes: get_pow2(l, "llc", "axi_bytes", MAX_CACHE_BYTES)? as usize,
+                    hit_latency: Cycles::new(get_u64(l, "hit_latency")?),
+                    cacheable_start: get_u64(l, "cacheable_start")?,
+                    cacheable_end: get_u64(l, "cacheable_end")?,
+                };
+                let bytes = [llc.blocks, llc.axi_bytes, llc.lines, llc.ways]
+                    .into_iter()
+                    .try_fold(1u64, |b, f| b.checked_mul(f as u64));
+                if bytes.is_none_or(|b| b > MAX_CACHE_BYTES) {
+                    return Err(SnapError::msg(format!(
+                        "llc.blocks × llc.axi_bytes × llc.lines × llc.ways exceeds \
+                         {MAX_CACHE_BYTES} B"
+                    )));
+                }
+                Some(llc)
+            }
         };
         let h = get(j, "host")?;
         retired_bool(h, "superblocks")?;
+        let line = get_pow2(h, "host", "line_bytes", MAX_CACHE_BYTES)?;
         let host = HostConfig {
-            freq: Freq::khz_new(get_u64(h, "freq_khz")?),
-            soc_freq: Freq::khz_new(get_u64(h, "soc_freq_khz")?),
-            l1i_bytes: get_u64(h, "l1i_bytes")? as usize,
-            l1d_bytes: get_u64(h, "l1d_bytes")? as usize,
-            line_bytes: get_u64(h, "line_bytes")? as usize,
+            freq: get_freq(h, "host", "freq_khz")?,
+            soc_freq: get_freq(h, "host", "soc_freq_khz")?,
+            // The CVA6 L1I is 4-way, the L1D 8-way.
+            l1i_bytes: get_cache_bytes(h, "host", "l1i_bytes", line, 4)? as usize,
+            l1d_bytes: get_cache_bytes(h, "host", "l1d_bytes", line, 8)? as usize,
+            line_bytes: line as usize,
             caches_enabled: get_bool(h, "caches_enabled")?,
             cacheable_start: get_u64(h, "cacheable_start")?,
             decode_cache: get_bool(h, "decode_cache")?,
         };
         let c = get(j, "cluster")?;
         retired_bool(c, "superblocks")?;
+        let cores = get_in(c, "cluster", "cores", 1, MAX_CORES)?;
+        let banks = get_in(c, "cluster", "banks", 1, MAX_TCDM_BYTES / TCDM_PAGE_BYTES)?;
+        let bank_bytes = get_in(c, "cluster", "bank_bytes", 1, MAX_TCDM_BYTES)?;
+        if bank_bytes % TCDM_PAGE_BYTES != 0 {
+            return Err(bad_key(
+                "cluster",
+                "bank_bytes",
+                format!("{bank_bytes} is not a multiple of {TCDM_PAGE_BYTES}"),
+            ));
+        }
+        // Both factors are at most 2^21, so the product cannot wrap.
+        let tcdm_bytes = banks * bank_bytes;
+        if tcdm_bytes > MAX_TCDM_BYTES {
+            return Err(SnapError::msg(format!(
+                "cluster.banks × cluster.bank_bytes = {tcdm_bytes} B exceeds the \
+                 {MAX_TCDM_BYTES} B TCDM window"
+            )));
+        }
+        let stack_bytes = get_in(c, "cluster", "stack_bytes", 0, tcdm_bytes / cores)?;
         let cluster = ClusterConfig {
-            cores: get_u64(c, "cores")? as usize,
-            banks: get_u64(c, "banks")? as usize,
-            bank_bytes: get_u64(c, "bank_bytes")? as usize,
-            icache_private_bytes: get_u64(c, "icache_private_bytes")? as usize,
-            icache_shared_bytes: get_u64(c, "icache_shared_bytes")? as usize,
-            freq: Freq::khz_new(get_u64(c, "freq_khz")?),
-            soc_freq: Freq::khz_new(get_u64(c, "soc_freq_khz")?),
+            cores: cores as usize,
+            banks: banks as usize,
+            bank_bytes: bank_bytes as usize,
+            icache_private_bytes: get_in(c, "cluster", "icache_private_bytes", 0, MAX_CACHE_BYTES)?
+                as usize,
+            icache_shared_bytes: get_in(c, "cluster", "icache_shared_bytes", 0, MAX_CACHE_BYTES)?
+                as usize,
+            freq: get_freq(c, "cluster", "freq_khz")?,
+            soc_freq: get_freq(c, "cluster", "soc_freq_khz")?,
             barrier_cycles: get_u64(c, "barrier_cycles")?,
-            stack_bytes: get_u64(c, "stack_bytes")? as usize,
+            stack_bytes: stack_bytes as usize,
             decode_cache: get_bool(c, "decode_cache")?,
             quantum_cycles: opt_u64(c, "quantum_cycles", 4096)?,
             workers: opt_u64(c, "workers", 0)? as usize,
@@ -315,7 +438,7 @@ impl SocConfig {
             llc,
             host,
             cluster,
-            l2spm_bytes: get_u64(j, "l2spm_bytes")? as usize,
+            l2spm_bytes: get_in(j, "", "l2spm_bytes", 0, MAX_L2SPM_BYTES)? as usize,
             offload_descriptor_cycles: get_u64(j, "offload_descriptor_cycles")?,
         })
     }

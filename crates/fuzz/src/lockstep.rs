@@ -751,7 +751,8 @@ pub(crate) fn team_args(prog: &Program) -> Vec<(Reg, u64)> {
 
 /// Differential check of [`Cluster::run_team`]: the same team program with
 /// the decode cache on vs off must produce identical per-core cycles,
-/// instret, final architectural state digests, and memory images.
+/// instret and final architectural state digests, or the same error, and
+/// either way identical memory images.
 pub fn run_cluster_lockstep(prog: &Program, num_cores: usize) -> Result<LockstepStats, Divergence> {
     assert_eq!(prog.isa, Isa::Rv32Cluster);
     let args = team_args(prog);
@@ -774,6 +775,8 @@ pub fn run_cluster_lockstep(prog: &Program, num_cores: usize) -> Result<Lockstep
                     what: format!("team error mismatch: fast {sf} vs ref {sr}"),
                 });
             }
+            // A failed team keeps its stores up to the fault.
+            compare_team_images((&fast, &fl2), (&refc, &rl2), 0, "fast", "ref")?;
             return Ok(LockstepStats::default());
         }
         (a, b) => {
@@ -810,29 +813,42 @@ pub fn run_cluster_lockstep(prog: &Program, num_cores: usize) -> Result<Lockstep
             ),
         });
     }
-    let mut ftcdm = vec![0u8; fast.config().tcdm_bytes()];
-    let mut rtcdm = vec![0u8; refc.config().tcdm_bytes()];
-    fast.tcdm_read(0, &mut ftcdm).unwrap();
-    refc.tcdm_read(0, &mut rtcdm).unwrap();
-    let fd = Fnv64::new().write(&ftcdm).finish();
-    let rd = Fnv64::new().write(&rtcdm).finish();
-    if fd != rd {
-        return Err(Divergence {
-            step: 0,
-            what: format!("TCDM digest mismatch: fast {fd:#018x} vs ref {rd:#018x}"),
-        });
-    }
-    let (lf, lr) = (fl2.borrow().content_digest(), rl2.borrow().content_digest());
-    if lf != lr {
-        return Err(Divergence {
-            step: 0,
-            what: format!("L2 digest mismatch: fast {lf:#018x} vs ref {lr:#018x}"),
-        });
-    }
+    compare_team_images((&fast, &fl2), (&refc, &rl2), 0, "fast", "ref")?;
     Ok(LockstepStats {
         steps: tf.per_core_instret.iter().sum(),
         retired: tf.per_core_instret.iter().sum(),
     })
+}
+
+/// Compares the final TCDM and L2 images of two runs of one team program;
+/// `a` and `b` name the two sides in the divergence message.
+fn compare_team_images(
+    (ca, la): (&Cluster, &Rc<RefCell<Sram>>),
+    (cb, lb): (&Cluster, &Rc<RefCell<Sram>>),
+    step: u64,
+    a: &str,
+    b: &str,
+) -> Result<(), Divergence> {
+    let tcdm = |c: &Cluster| {
+        let mut buf = vec![0u8; c.config().tcdm_bytes()];
+        c.tcdm_peek(0, &mut buf).unwrap();
+        Fnv64::new().write(&buf).finish()
+    };
+    let (ta, tb) = (tcdm(ca), tcdm(cb));
+    if ta != tb {
+        return Err(Divergence {
+            step,
+            what: format!("TCDM digest mismatch: {a} {ta:#018x} vs {b} {tb:#018x}"),
+        });
+    }
+    let (da, db) = (la.borrow().content_digest(), lb.borrow().content_digest());
+    if da != db {
+        return Err(Divergence {
+            step,
+            what: format!("L2 digest mismatch: {a} {da:#018x} vs {b} {db:#018x}"),
+        });
+    }
+    Ok(())
 }
 
 /// A step order for `n` cores drawn from `seed`: a Fisher–Yates shuffle,
@@ -857,8 +873,8 @@ fn step_order(seed: u64, n: usize) -> Vec<usize> {
 /// core's architectural state and cycle count) at *every quantum
 /// boundary*. The two digest streams must match element-wise, the runs
 /// must fail identically or succeed with the same
-/// [`TeamResult`](hulkv_cluster::TeamResult), and the final TCDM and L2
-/// images must digest equal.
+/// [`TeamResult`](hulkv_cluster::TeamResult), and either way the final
+/// TCDM and L2 images must digest equal.
 ///
 /// The quantum length is drawn from the program seed so a campaign covers
 /// both the sync-round-heavy regime (short quanta, lots of boundary
@@ -941,6 +957,14 @@ pub fn run_team_order_lockstep(
                     ),
                 });
             }
+            // A failed team keeps its stores up to the fault.
+            compare_team_images(
+                (&base, &bl2),
+                (&perm, &pl2),
+                boundary,
+                "hart order",
+                &format!("order {permuted:?}"),
+            )?;
             return Ok(LockstepStats::default());
         }
         (a, b) => {
@@ -958,29 +982,13 @@ pub fn run_team_order_lockstep(
             what: format!("team result mismatch: hart order {tb:?} vs order {permuted:?} {tp:?}"),
         });
     }
-    let mut btcdm = vec![0u8; base.config().tcdm_bytes()];
-    let mut ptcdm = vec![0u8; perm.config().tcdm_bytes()];
-    base.tcdm_read(0, &mut btcdm).unwrap();
-    perm.tcdm_read(0, &mut ptcdm).unwrap();
-    let bd = Fnv64::new().write(&btcdm).finish();
-    let pd = Fnv64::new().write(&ptcdm).finish();
-    if bd != pd {
-        return Err(Divergence {
-            step: boundary,
-            what: format!(
-                "TCDM digest mismatch: hart order {bd:#018x} vs order {permuted:?} {pd:#018x}"
-            ),
-        });
-    }
-    let (lb, lp) = (bl2.borrow().content_digest(), pl2.borrow().content_digest());
-    if lb != lp {
-        return Err(Divergence {
-            step: boundary,
-            what: format!(
-                "L2 digest mismatch: hart order {lb:#018x} vs order {permuted:?} {lp:#018x}"
-            ),
-        });
-    }
+    compare_team_images(
+        (&base, &bl2),
+        (&perm, &pl2),
+        boundary,
+        "hart order",
+        &format!("order {permuted:?}"),
+    )?;
     Ok(LockstepStats {
         steps: boundary,
         retired: tb.per_core_instret.iter().sum(),

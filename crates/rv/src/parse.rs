@@ -32,7 +32,7 @@
 
 use crate::asm::{Asm, Label};
 use crate::inst::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Parses and assembles a whole program.
 ///
@@ -45,6 +45,7 @@ pub fn parse_program(src: &str, xlen: Xlen) -> Result<Vec<u32>, RvError> {
     let mut p = Parser {
         a: Asm::new(xlen),
         labels: HashMap::new(),
+        bound: HashSet::new(),
     };
     for (idx, raw) in src.lines().enumerate() {
         let line = strip_comment(raw).trim();
@@ -70,6 +71,8 @@ fn strip_comment(line: &str) -> &str {
 struct Parser {
     a: Asm,
     labels: HashMap<String, Label>,
+    /// Labels already defined (a second definition is an error).
+    bound: HashSet<String>,
 }
 
 type PResult<T = ()> = Result<T, String>;
@@ -89,6 +92,9 @@ impl Parser {
             let name = name.trim();
             if name.is_empty() || !is_ident(name) {
                 return Err(format!("bad label `{name}`"));
+            }
+            if !self.bound.insert(name.to_string()) {
+                return Err(format!("label `{name}` defined twice"));
             }
             let l = self.label_for(name);
             self.a.bind(l);
@@ -375,12 +381,12 @@ impl Parser {
                 return Ok(());
             }
             "csrr" => {
-                let (rd, c) = (reg(op3(ops, 0)?)?, imm(op3(ops, 1)?)? as u16);
+                let (rd, c) = (reg(op3(ops, 0)?)?, csr_num(op3(ops, 1)?)?);
                 self.a.csrr(rd, c);
                 return Ok(());
             }
             "csrw" => {
-                let (c, rs) = (imm(op3(ops, 0)?)? as u16, reg(op3(ops, 1)?)?);
+                let (c, rs) = (csr_num(op3(ops, 0)?)?, reg(op3(ops, 1)?)?);
                 self.a.csrw(c, rs);
                 return Ok(());
             }
@@ -398,9 +404,9 @@ impl Parser {
                 _ => return Err(format!("unknown mnemonic `{m}`")),
             };
             let rd = reg(op3(ops, 0)?)?;
-            let csr = imm(op3(ops, 1)?)? as u16;
+            let csr = csr_num(op3(ops, 1)?)?;
             let src = if immediate {
-                CsrSrc::Imm(imm(op3(ops, 2)?)? as u8)
+                CsrSrc::Imm(uimm(op3(ops, 2)?, 31, "CSR immediate")? as u8)
             } else {
                 CsrSrc::Reg(reg(op3(ops, 2)?)?)
             };
@@ -996,7 +1002,25 @@ fn imm(s: &str) -> PResult<i64> {
             .or_else(|_| body.parse::<u64>().map(|v| v as i64))
             .map_err(|e| format!("bad immediate `{s}`: {e}"))?
     };
-    Ok(if neg { -v } else { v })
+    if neg {
+        v.checked_neg()
+            .ok_or_else(|| format!("bad immediate `{s}`: out of range"))
+    } else {
+        Ok(v)
+    }
+}
+
+/// An unsigned operand no larger than `max`.
+fn uimm(s: &str, max: u16, what: &str) -> PResult<u16> {
+    match u16::try_from(imm(s)?) {
+        Ok(v) if v <= max => Ok(v),
+        _ => Err(format!("{what} `{s}` out of range (0..={max})")),
+    }
+}
+
+/// A 12-bit CSR number.
+fn csr_num(s: &str) -> PResult<u16> {
+    uimm(s, 0xFFF, "CSR number")
 }
 
 /// Parses `offset(reg)` or `offset(reg!)`; a bare `(reg)` means offset 0.

@@ -123,6 +123,26 @@ fn assembly_errors_surface_through_the_soc() {
     let mut soc = HulkV::new(SocConfig::default()).unwrap();
     let err = soc.run_host_assembly("bogus t0, t1\n").unwrap_err();
     assert!(err.to_string().contains("bogus"), "{err}");
+    // Hostile text: each line below used to panic or assemble a truncated
+    // operand; each must be a line-numbered encode error instead.
+    for (src, line, what) in [
+        ("a:\nnop\na:\n", 3, "defined twice"),
+        ("li a0, -9223372036854775808\n", 1, "out of range"),
+        ("nop\ncsrrwi a0, 0x300, 256\n", 2, "CSR immediate"),
+        ("csrrwi a0, 0x300, 32\n", 1, "CSR immediate"),
+        ("csrrw a0, 0x10300, a1\n", 1, "CSR number"),
+        ("csrrsi a0, -1, 1\n", 1, "CSR number"),
+        ("csrr a0, 0x1000\n", 1, "CSR number"),
+        ("csrw 0x10000, a0\n", 1, "CSR number"),
+    ] {
+        match soc.run_host_assembly(src) {
+            Err(SocError::Exec(RvError::Encode(m))) => assert!(
+                m.starts_with(&format!("line {line}:")) && m.contains(what),
+                "{src:?}: {m}"
+            ),
+            other => panic!("{src:?}: expected a line-numbered encode error, got {other:?}"),
+        }
+    }
 }
 
 #[test]

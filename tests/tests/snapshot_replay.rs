@@ -452,3 +452,62 @@ fn recording_checkpoint_length_overflow_is_an_error() {
     let err = hulkv::Recording::from_bytes(&bytes).unwrap_err();
     assert!(err.to_string().contains("truncated"), "{err}");
 }
+
+#[test]
+fn every_config_from_json_accepts_builds() {
+    // Each numeric key of the default configs (HyperRAM and DDR main
+    // memory) set to 0, 3 and 2^63: the document must either fail
+    // `from_json` with an error naming the key, or build an SoC.
+    let mut failures = Vec::new();
+    for base in [
+        SocConfig::default(),
+        SocConfig::with_memory_setup(hulkv::MemorySetup::DdrWithLlc),
+    ] {
+        let doc = base.to_json();
+        let Json::Obj(top) = &doc else {
+            panic!("config is not an object")
+        };
+        let is_num = |v: &Json| matches!(v, Json::Str(s) if s.starts_with("0x"));
+        let mut sites: Vec<(Option<String>, String)> = Vec::new();
+        for (k, v) in top {
+            match v {
+                Json::Obj(sub) => sites.extend(
+                    sub.iter()
+                        .filter(|(_, v)| is_num(v))
+                        .map(|(kk, _)| (Some(k.clone()), kk.clone())),
+                ),
+                v if is_num(v) => sites.push((None, k.clone())),
+                _ => {}
+            }
+        }
+        assert!(sites.len() > 25, "{sites:?}");
+        for (section, key) in sites {
+            for value in [0, 3, 1u64 << 63] {
+                let mut d = doc.clone();
+                let slot = match &section {
+                    Some(s) => obj_mut(&mut d, s),
+                    None => match &mut d {
+                        Json::Obj(top) => top,
+                        _ => unreachable!(),
+                    },
+                };
+                slot.insert(key.clone(), hex(value));
+                let built = std::panic::catch_unwind(|| match SocConfig::from_json(&d) {
+                    Err(e) => (e.to_string().contains(&key), format!("rejected: {e}")),
+                    Ok(cfg) => match HulkV::new(cfg) {
+                        Ok(_) => (true, String::new()),
+                        Err(e) => (false, format!("accepted, then failed to build: {e}")),
+                    },
+                });
+                match built {
+                    Ok((true, _)) => {}
+                    Ok((false, why)) => {
+                        failures.push(format!("{section:?}.{key} = {value}: {why}"))
+                    }
+                    Err(_) => failures.push(format!("{section:?}.{key} = {value}: panicked")),
+                }
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
+}
